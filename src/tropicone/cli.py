@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: graph, cone, check, oracle. Exit codes: 0 success, 1 bad
-input, 2 unsupported index without --force, 3 internal assertion failure.
+input, a failed check or running out of memory, 2 unsupported index without
+--force, 3 internal assertion failure.
 Identical invocations produce byte-identical output; files are written
 atomically next to their final path.
 """
@@ -222,6 +223,9 @@ def main(argv=None) -> int:
         return 3
     except (RootSystemError, WordError, NotTypeA, LimitExceeded, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 1
 
 

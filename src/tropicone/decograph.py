@@ -9,10 +9,12 @@ all-nonnegative monomial t_k and repeatedly fires the arrow conditions:
     (b) d_{j+} = d_j and the chain j^{2+}, j^{3+}, ... shows the pattern
         (d, b) = (0, 0) until it terminates in (d, b) = (-1, 1).
 
-Each fire produces d' = d / A_j and b' = b with +1 at j and -1 at j+, and
-b' must agree with the b recursion recomputed from d' alone; a disagreement
-means a convention bug or an input outside the proven support, and is never
-silently accepted.
+Each fire produces d' = d / A_j and b' = b with +1 at j and -1 at j+. The b
+recursion is affine in d with a linear part that depends on the word alone,
+so b(d / A_j) - b(d) = e_j - e_{j+} is a fact about (word, j): it is proven
+once per word, and a failure, a convention bug, always raises. The source b
+is checked against a closed form, and verify_graph recomputes b from the
+recursion at every vertex of a finished graph, independently of the build.
 
 The quantity L = sum_t t * b_t drops by exactly j+ - j along every edge,
 which is what makes the worklist terminate and the graph acyclic.
@@ -24,6 +26,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import sub
 
 from .monomial import ExponentVec, a_monomial, lowest_term, render
 from .rootsystem import (
@@ -34,7 +37,7 @@ from .rootsystem import (
     minuscule_indices,
     reflect,
 )
-from .wordtools import ReducedWord, j_plus, source_index
+from .wordtools import ReducedWord, source_index
 
 
 class GraphError(RuntimeError):
@@ -46,7 +49,7 @@ class ClosedFormMismatch(GraphError):
 
 
 class BUpdateMismatch(GraphError):
-    """A fired b update disagrees with the b recursion on the target."""
+    """The b shift of a firing, or a merged b, disagrees with the b recursion."""
 
 
 class InvariantViolation(GraphError):
@@ -162,28 +165,29 @@ def initial_vertex(cd: CartanData, w: ReducedWord, i: int) -> Vertex:
 
 def _condition_b(w: ReducedWord, v: Vertex, j: int) -> bool:
     """The (d,b) = (0,0) ... (-1,1) chain test along j^{2+}, j^{3+}, ..."""
-    pos = j_plus(w, j)
-    while True:
-        pos = j_plus(w, pos)
-        if pos > w.N:
-            return False
+    jplus, N = w.jplus, w.N
+    pos = jplus[jplus[j - 1] - 1]
+    while pos <= N:
         dp, bp = v.d.d[pos - 1], v.b[pos - 1]
         if dp == -1 and bp == 1:
             return True
-        if not (dp == 0 and bp == 0):
+        if dp or bp:
             return False
+        pos = jplus[pos - 1]
+    return False
 
 
 def firing_labels(cd: CartanData, w: ReducedWord, v: Vertex) -> list[int]:
     """All positions that fire from v under the generic rule, ascending."""
+    d, b, N = v.d.d, v.b, w.N
     out = []
-    for j in range(1, w.N + 1):
-        jp = j_plus(w, j)
-        if jp > w.N:
+    for j, jp in enumerate(w.jplus, start=1):
+        if jp > N:
             continue
-        if v.d.d[j - 1] <= 0 or v.b[jp - 1] <= 0:
+        dj = d[j - 1]
+        if dj <= 0 or b[jp - 1] <= 0:
             continue
-        dj, djp = v.d.d[j - 1], v.d.d[jp - 1]
+        djp = d[jp - 1]
         if djp < dj or (djp == dj and _condition_b(w, v, j)):
             out.append(j)
     return out
@@ -193,43 +197,38 @@ def firing_labels_minuscule(cd: CartanData, w: ReducedWord, v: Vertex, i: int | 
     """The fast rule d_j = 1, d_{j+} != 1; only valid on minuscule (type, i)."""
     if i is not None and i not in minuscule_indices(cd):
         raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
-    out = []
-    for j in range(1, w.N + 1):
-        jp = j_plus(w, j)
-        if jp > w.N:
-            continue
-        if v.d.d[j - 1] == 1 and v.d.d[jp - 1] != 1:
-            out.append(j)
-    return out
+    d, N = v.d.d, w.N
+    return [j for j, jp in enumerate(w.jplus, start=1) if jp <= N and d[j - 1] == 1 and d[jp - 1] != 1]
 
 
-def step_vertex(cd: CartanData, w: ReducedWord, i: int, v: Vertex, j: int) -> Vertex:
-    """Fire position j: divide by A_j and shift b at j and j+.
+def _firing_table(cd: CartanData, w: ReducedWord, i: int, v0: Vertex) -> tuple:
+    """The exponents of A_j for every j (None when j+ > N), kept on the word.
 
-    The shifted b must equal the recursion on the new monomial.
+    Proves the shift identity once per word, at the source v0: by the affine
+    argument it then holds at every vertex, for every i.
     """
-    jp = j_plus(w, j)
-    if jp > w.N:
-        raise InvariantViolation(f"position {j} has no next occurrence; cannot fire")
-    if v.b[jp - 1] <= 0:
-        raise InvariantViolation(
-            f"edge at j={j} would have b_(j+) = {v.b[jp - 1]} <= 0 on {render(v.d)}"
-        )
-    d2 = v.d.div(a_monomial(cd, w, j))
-    b2 = list(v.b)
-    b2[j - 1] += 1
-    b2[jp - 1] -= 1
-    b2 = tuple(b2)
-    expected = b_from_d(cd, w, i, d2)
-    if b2 != expected:
-        raise BUpdateMismatch(
-            f"b update at j={j} from {render(v.d)} gives {b2}, recursion on {render(d2)} gives {expected}"
-        )
-    return Vertex(d2, b2)
-
-
-def _weight_L(b: tuple[int, ...]) -> int:
-    return sum(t * bt for t, bt in enumerate(b, start=1))
+    table = w.cache.get("a_monomials")
+    if table is not None:
+        return table
+    table = []
+    for j, jp in enumerate(w.jplus, start=1):
+        if jp > w.N:
+            table.append(None)
+            continue
+        a = a_monomial(cd, w, j)
+        d2 = v0.d.div(a)
+        shifted = list(v0.b)
+        shifted[j - 1] += 1
+        shifted[jp - 1] -= 1
+        expected = b_from_d(cd, w, i, d2)
+        if expected != tuple(shifted):
+            raise BUpdateMismatch(
+                f"b update for {cd.ctype} word {w} i={i} at j={j} from {render(v0.d)}: "
+                f"shifted {shifted}, recursion on {render(d2)} gives {expected}"
+            )
+        table.append(a.d)
+    table = w.cache["a_monomials"] = tuple(table)
+    return table
 
 
 def build_graph(
@@ -242,11 +241,15 @@ def build_graph(
 ) -> DecoGraph:
     """Worklist construction of the whole monomial graph for one index i.
 
-    FIFO over vertices, each expanded exactly once, labels ascending; targets
-    are merged by exponent vector with a hard b-equality check. For inputs
-    without a proven description (status Unproven, reachable only with
-    force=True) the internal assertions are collected into graph.violations
-    instead of raised, since there is no theorem to contradict.
+    FIFO over vertices, each expanded exactly once, labels ascending. With
+    the b update proven once per word by the affine argument (_firing_table),
+    an edge is a subtraction by the cached A_j, the shift of b at j and j+,
+    and on a merge a comparison with the stored b; verify_graph still
+    recomputes b from the recursion at every vertex. The minuscule rule also
+    checks the gate b_(j+) > 0, a firing condition of the generic rule. For
+    inputs without a proven description (status Unproven, reachable only
+    with force=True) a failed gate or merge goes to graph.violations instead
+    of raising, since there is no theorem to contradict.
     """
     if rule not in ("generic", "minuscule"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -255,48 +258,35 @@ def build_graph(
         raise UnsupportedIndex(
             f"no proven monomial description for ({cd.ctype}, i={i}); use force to build anyway"
         )
-    tolerant = status is SupportStatus.UNPROVEN
+    minuscule = rule == "minuscule"
+    if minuscule and i not in minuscule_indices(cd):
+        raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
+    labels_of = firing_labels_minuscule if minuscule else firing_labels
 
     v0 = initial_vertex(cd, w, i)
+    table = _firing_table(cd, w, i, v0)
+    jplus = w.jplus
     vertices: dict[ExponentVec, Vertex] = {v0.d: v0}
     edges: list[tuple[ExponentVec, int, ExponentVec]] = []
     violations: list[str] = []
     queue: deque[ExponentVec] = deque([v0.d])
 
-    def labels_of(v: Vertex) -> list[int]:
-        if rule == "minuscule":
-            return firing_labels_minuscule(cd, w, v, i)
-        return firing_labels(cd, w, v)
+    def problem(cls: type[GraphError], msg: str) -> None:
+        if status is not SupportStatus.UNPROVEN:
+            raise cls(msg)
+        violations.append(msg)
 
     while queue:
         v = vertices[queue.popleft()]
-        for j in labels_of(v):
-            jp = j_plus(w, j)
-            d2 = v.d.div(a_monomial(cd, w, j))
+        for j in labels_of(cd, w, v):
+            jp = jplus[j - 1]
+            if minuscule and v.b[jp - 1] <= 0:
+                problem(InvariantViolation, f"edge ({render(v.d)}, {j}) with b_(j+) <= 0")
+            d2 = ExponentVec(tuple(map(sub, v.d.d, table[j - 1])))
             b2 = list(v.b)
             b2[j - 1] += 1
             b2[jp - 1] -= 1
             b2 = tuple(b2)
-            problems = []
-            update_broken = False
-            if v.b[jp - 1] <= 0:
-                problems.append(f"edge ({render(v.d)}, {j}) with b_(j+) <= 0")
-            expected = b_from_d(cd, w, i, d2)
-            if b2 != expected:
-                update_broken = True
-                problems.append(
-                    f"b update at j={j} from {render(v.d)}: shifted {b2}, recursion {expected}"
-                )
-                b2 = expected
-            if _weight_L(b2) != _weight_L(v.b) + j - jp:
-                problems.append(f"L does not drop by {jp - j} on edge ({render(v.d)}, {j})")
-            if any(x < 0 for x in b2):
-                problems.append(f"negative b entry on {render(d2)}: {b2}")
-            if problems:
-                if not tolerant:
-                    cls = BUpdateMismatch if update_broken else InvariantViolation
-                    raise cls("; ".join(problems))
-                violations.extend(problems)
             known = vertices.get(d2)
             if known is None:
                 if len(vertices) >= max_vertices:
@@ -304,10 +294,7 @@ def build_graph(
                 vertices[d2] = Vertex(d2, b2)
                 queue.append(d2)
             elif known.b != b2:
-                msg = f"merge at {render(d2)}: stored b {known.b}, incoming {b2}"
-                if not tolerant:
-                    raise BUpdateMismatch(msg)
-                violations.append(msg)
+                problem(BUpdateMismatch, f"merge at {render(d2)}: stored b {known.b}, incoming {b2}")
             edges.append((v.d, j, d2))
 
     return DecoGraph(
@@ -322,6 +309,10 @@ def build_graph(
         forced=force,
         violations=violations,
     )
+
+
+def _weight_L(b: tuple[int, ...]) -> int:
+    return sum(t * bt for t, bt in enumerate(b, start=1))
 
 
 def verify_graph(g: DecoGraph) -> dict:
@@ -355,7 +346,7 @@ def verify_graph(g: DecoGraph) -> dict:
     bad_gate = []
     bad_l = []
     for src, j, dst in g.edges:
-        jp = j_plus(w, j)
+        jp = w.jplus[j - 1]
         bs, bd = g.vertices[src].b, g.vertices[dst].b
         shifted = list(bs)
         shifted[j - 1] += 1

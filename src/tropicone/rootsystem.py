@@ -113,10 +113,6 @@ class RootVec:
     def is_positive(self) -> bool:
         return any(self.coords) and all(c >= 0 for c in self.coords)
 
-    @property
-    def is_negative(self) -> bool:
-        return any(self.coords) and all(c <= 0 for c in self.coords)
-
     def __neg__(self) -> "RootVec":
         return RootVec(tuple(-x for x in self.coords))
 
@@ -126,10 +122,6 @@ def fundamental_weight(n: int, i: int) -> WeightVec:
     if not 1 <= i <= n:
         raise RootSystemError(f"index {i} out of [1, {n}]")
     return WeightVec(tuple(1 if t == i - 1 else 0 for t in range(n)))
-
-
-def zero_weight(n: int) -> WeightVec:
-    return WeightVec((0,) * n)
 
 
 def simple_root(n: int, j: int) -> RootVec:

@@ -4,7 +4,8 @@ A word (i_1, ..., i_N) is validated through its beta sequence
 beta_k = s_{i_N} s_{i_N-1} ... s_{i_k+1} (alpha_{i_k}): the word is a reduced
 word of w0 exactly when N = |Phi+| and the beta_k are N pairwise distinct
 positive roots. The sequence is cached on the word because source_index and
-several downstream checks reuse it.
+several downstream checks reuse it, and so is the table of next occurrences
+j -> j+ that every firing step reads.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ class ReducedWord:
     cd: CartanData
     letters: tuple[int, ...]
     beta: tuple[RootVec, ...] = field(repr=False)
+    # jplus[j-1] = j+, the next position with letter i_j, or N+1 when none
+    jplus: tuple[int, ...] = field(repr=False, compare=False)
+    # per-word facts other modules prove once and keep (see decograph)
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -66,6 +71,18 @@ def _beta_sequence(cd: CartanData, letters: tuple[int, ...]) -> tuple[RootVec, .
     return tuple(betas)
 
 
+def _next_occurrences(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """j+ for every 1-based position j, in one reverse pass."""
+    N = len(letters)
+    seen: dict[int, int] = {}
+    out = [N + 1] * N
+    for j in range(N, 0, -1):
+        letter = letters[j - 1]
+        out[j - 1] = seen.get(letter, N + 1)
+        seen[letter] = j
+    return tuple(out)
+
+
 def validate_word(cd: CartanData, letters) -> ReducedWord:
     """Check that letters form a reduced word of w0 and cache its beta sequence."""
     seq = tuple(int(x) for x in letters)
@@ -78,7 +95,7 @@ def validate_word(cd: CartanData, letters) -> ReducedWord:
     betas = _beta_sequence(cd, seq)
     if not all(b.is_positive for b in betas) or len(set(betas)) != len(betas):
         raise NotReducedOrNotLongest(f"{seq} is not a reduced word of the longest element")
-    return ReducedWord(cd, seq, betas)
+    return ReducedWord(cd, seq, betas, _next_occurrences(seq))
 
 
 def parse_word(cd: CartanData, text: str) -> ReducedWord:
@@ -102,11 +119,7 @@ def source_index(w: ReducedWord, i: int) -> int:
 
 def j_plus(w: ReducedWord, j: int) -> int:
     """Next position after j with the same letter; N+1 when there is none."""
-    letter = w.letters[j - 1]
-    for l in range(j + 1, w.N + 1):
-        if w.letters[l - 1] == letter:
-            return l
-    return w.N + 1
+    return w.jplus[j - 1]
 
 
 def j_minus(w: ReducedWord, j: int) -> int:
@@ -116,25 +129,6 @@ def j_minus(w: ReducedWord, j: int) -> int:
         if w.letters[l - 1] == letter:
             return l
     return 0
-
-
-def j_iter(w: ReducedWord, j: int, m: int, direction: str = "+") -> int:
-    """m-fold iterate of j_plus or j_minus; the sentinels N+1 and 0 absorb."""
-    if direction not in ("+", "-"):
-        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    pos = j
-    for _ in range(m):
-        if direction == "+":
-            if pos >= w.N + 1:
-                break
-            pos = j_plus(w, pos)
-        else:
-            if pos <= 0:
-                break
-            pos = j_minus(w, pos)
-    return pos
 
 
 def enumerate_w0_words(cd: CartanData, limit: int = 100000):

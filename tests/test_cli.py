@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tropicone import cli
 from tropicone.cli import main
 
 C3_ARGS = ["--type", "C3", "--word", "2,3,2,1,2,3,2,3,1"]
@@ -62,6 +63,16 @@ def test_bad_input_exit_codes(capsys):
     assert run(capsys, "graph", "--type", "C3", "--word", "2,2,2,1,2,3,2,3,1", "--i", "2")[0] == 1
     assert run(capsys, "graph", "--type", "C3", "--word", "2,3,2", "--i", "2")[0] == 1
     assert run(capsys, "cone", "--type", "C3", "--word", "2,3,2,1,2,3,2,3,x")[0] == 1
+
+
+def test_out_of_memory_exits_1(capsys, monkeypatch):
+    def exhausted(cone, mvec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "weight_census", exhausted)
+    rc, out, err = run(capsys, "oracle", *C3_ARGS, "--census-bound", "1")
+    assert rc == 1 and out == ""
+    assert err == "error: out of memory running oracle\n"
 
 
 def test_cone_text(capsys):

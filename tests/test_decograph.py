@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tropicone.monomial import ExponentVec
+from tropicone import decograph
+from tropicone.monomial import ExponentVec, a_monomial
 from tropicone.rootsystem import CartanType, NotMinuscule, cartan_matrix
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.decograph import (
@@ -12,12 +13,12 @@ from tropicone.decograph import (
     InvariantViolation,
     SupportStatus,
     UnsupportedIndex,
+    Vertex,
     b_from_d,
     build_graph,
     firing_labels,
     firing_labels_minuscule,
     initial_vertex,
-    step_vertex,
     supported,
     to_dot,
     to_json,
@@ -83,37 +84,13 @@ def test_initial_vertex(c3, c3_word, g2, g2_word_a):
 
 
 def test_firing_labels(c3, c3_word):
+    g = build_graph(c3, c3_word, 2)
     # d_3 = d_5 = 1 with the (0,0)...(-1,1) chain at 3, and d_7 = -1 < d_5
-    v = step_then(c3, c3_word, [1, 2, 5])
-    assert v.d == ev(9, {3: 1, 5: 1, 7: -1})
+    v = g.vertices[ev(9, {3: 1, 5: 1, 7: -1})]
     assert firing_labels(c3, c3_word, v) == [3, 5]
     # the sink fires nothing
-    sink = build_graph(c3, c3_word, 2).vertices[ev(9, fx.C3_SINK)]
+    sink = g.vertices[ev(9, fx.C3_SINK)]
     assert firing_labels(c3, c3_word, sink) == []
-
-
-def step_then(cd, w, js, i=2):
-    v = initial_vertex(cd, w, i)
-    for j in js:
-        v = step_vertex(cd, w, i, v, j)
-    return v
-
-
-def test_step_vertex(c3, c3_word):
-    v = step_then(c3, c3_word, [1])
-    assert v.d == ev(9, {2: 1, 3: -1})
-    assert v.b == (1, 0, 0, 1, 0, 1, 2, 1, 1)
-    # the shifted b always re-derives from the recursion, legal firing or not
-    v2 = step_vertex(c3, c3_word, 2, initial_vertex(c3, c3_word, 2), 5)
-    assert v2.b == b_from_d(c3, c3_word, 2, v2.d)
-
-
-def test_step_vertex_rejects_closed_gate(c3, c3_word):
-    v0 = initial_vertex(c3, c3_word, 2)
-    with pytest.raises(InvariantViolation):
-        step_vertex(c3, c3_word, 2, v0, 3)  # b at position 5 is 0
-    with pytest.raises(InvariantViolation):
-        step_vertex(c3, c3_word, 2, v0, 7)  # letter 2 never repeats after 7
 
 
 def graph_as_sets(g):
@@ -234,6 +211,48 @@ def test_verify_graph_includes_rule_check_when_minuscule(d4, d4_word):
     report = verify_graph(build_graph(d4, d4_word, 1))
     assert "minuscule_rule_equivalent" in {c["name"] for c in report["checks"]}
     assert report["status"] == "pass"
+
+
+def test_corrupted_a_monomial_is_caught(c3, monkeypatch):
+    # a fresh word: the firing table is kept on the word instance
+    w = validate_word(c3, fx.C3_WORD)
+    real = decograph.a_monomial
+
+    def corrupted(cd, word, j):
+        a = real(cd, word, j)
+        if j != 5:
+            return a
+        return ExponentVec(a.d[:5] + (a.d[5] - 1,) + a.d[6:])
+
+    monkeypatch.setattr(decograph, "a_monomial", corrupted)
+    with pytest.raises(BUpdateMismatch, match="j=5"):
+        build_graph(c3, w, 2)
+    with pytest.raises(BUpdateMismatch):
+        build_graph(c3, w, 2, force=True)
+
+
+def test_verify_graph_catches_altered_b(c3, c3_word):
+    g = build_graph(c3, c3_word, 2)
+    d = ev(9, fx.C3_SINK)
+    g.vertices[d] = Vertex(d, (1, 1, 1, 2, 1, 1, 0, 1, 0))
+    failed = {c["name"] for c in verify_graph(g)["checks"] if c["status"] == "fail"}
+    assert "b_matches_recursion" in failed
+
+
+def test_verify_graph_flags_closed_gate(c3, c3_word):
+    # firing 3 at the source has b_5 = 0: not an edge of the graph
+    g = build_graph(c3, c3_word, 2)
+    v0 = g.vertices[g.source]
+    assert v0.b[4] == 0
+    d2 = v0.d.div(a_monomial(c3, c3_word, 3))
+    shifted = list(v0.b)
+    shifted[2] += 1
+    shifted[4] -= 1
+    g.vertices[d2] = Vertex(d2, tuple(shifted))
+    g.edges.append((v0.d, 3, d2))
+    failed = {c["name"] for c in verify_graph(g)["checks"] if c["status"] == "fail"}
+    assert "edge_gate_b_positive" in failed
+    assert "b_update_on_edges" not in failed and "b_matches_recursion" not in failed
 
 
 def test_to_dot(c3, c3_word):

@@ -8,12 +8,13 @@ from tropicone.rootsystem import (
     RootVec,
     WeightVec,
     cartan_matrix,
+    minuscule_indices,
     reflect,
     reflect_root,
 )
 from tropicone.wordtools import enumerate_w0_words, j_minus, j_plus
 from tropicone.monomial import ExponentVec, a_monomial
-from tropicone.decograph import build_graph, verify_graph
+from tropicone.decograph import b_from_d, build_graph, verify_graph
 from tropicone.stringcone import string_cone, weight_census
 
 CDS = [cartan_matrix(CartanType.parse(name)) for name in ("A3", "B3", "C3", "D4", "G2", "F4")]
@@ -96,6 +97,54 @@ def test_graph_invariants_hold(args):
     cd, w, i = args
     report = verify_graph(build_graph(cd, w, i))
     assert report["status"] == "pass", report
+
+
+@given(st.sampled_from(WORD_POOL))
+def test_jplus_table_matches_scan(pair):
+    _, w = pair
+    for j in range(1, w.N + 1):
+        later = [l for l in range(j + 1, w.N + 1) if w.letter(l) == w.letter(j)]
+        assert w.jplus[j - 1] == (later[0] if later else w.N + 1)
+
+
+@st.composite
+def word_index_and_monomial(draw):
+    cd, w, i = draw(word_and_index())
+    d = draw(st.lists(st.integers(-3, 3), min_size=w.N, max_size=w.N))
+    return cd, w, i, ExponentVec(tuple(d))
+
+
+@settings(max_examples=50)
+@given(word_index_and_monomial())
+def test_b_shift_identity_holds_at_every_monomial(args):
+    # b_from_d is affine with an i-independent linear part, which is what
+    # lets build_graph check the shift once per word instead of per edge
+    cd, w, i, d = args
+    b = b_from_d(cd, w, i, d)
+    for j in range(1, w.N + 1):
+        jp = w.jplus[j - 1]
+        if jp > w.N:
+            continue
+        shifted = list(b)
+        shifted[j - 1] += 1
+        shifted[jp - 1] -= 1
+        assert b_from_d(cd, w, i, d.div(a_monomial(cd, w, j))) == tuple(shifted), j
+
+
+@st.composite
+def word_and_minuscule_index(draw):
+    cd, w = draw(st.sampled_from(WORD_POOL))
+    return cd, w, draw(st.sampled_from(sorted(minuscule_indices(cd))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(word_and_minuscule_index())
+def test_generic_rule_builds_the_minuscule_graph(args):
+    cd, w, i = args
+    g = build_graph(cd, w, i)
+    f = build_graph(cd, w, i, rule="minuscule")
+    assert list(g.vertices.values()) == list(f.vertices.values())
+    assert g.edges == f.edges
 
 
 @settings(max_examples=10, deadline=None)

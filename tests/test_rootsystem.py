@@ -14,7 +14,6 @@ from tropicone.rootsystem import (
     reflect_root,
     simple_root,
     simple_root_weight,
-    zero_weight,
 )
 
 
@@ -79,7 +78,6 @@ def test_weight_arithmetic():
     assert (lam - mu).coords == (1, -3, -1)
     assert (-lam).coords == (-1, 2, 0)
     assert lam.pairing(2) == -2
-    assert zero_weight(3).coords == (0, 0, 0)
 
 
 def test_fundamental_weight_and_simple_root():
@@ -121,7 +119,6 @@ def test_reflect_root_g2(g2):
 def test_root_sign_predicates():
     assert RootVec((1, 0, 2)).is_positive
     assert not RootVec((0, 0, 0)).is_positive
-    assert RootVec((-1, -1, 0)).is_negative
     assert not RootVec((1, -1, 0)).is_positive
 
 

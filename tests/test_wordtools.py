@@ -7,7 +7,6 @@ from tropicone.wordtools import (
     WordError,
     WrongLength,
     enumerate_w0_words,
-    j_iter,
     j_minus,
     j_plus,
     parse_word,
@@ -85,20 +84,6 @@ def test_j_plus_and_j_minus(c3_word):
     assert j_minus(c3_word, 9) == 4
     assert j_minus(c3_word, 1) == 0  # sentinel 0
     assert j_minus(c3_word, 4) == 0
-
-
-def test_j_iter(c3_word):
-    assert j_iter(c3_word, 3, 0) == 3
-    assert j_iter(c3_word, 3, 1) == 5
-    assert j_iter(c3_word, 3, 2) == 7
-    # sentinels absorb
-    assert j_iter(c3_word, 8, 5, "+") == 10
-    assert j_iter(c3_word, 1, 3, "-") == 0
-    assert j_iter(c3_word, 7, 2, "-") == 3
-    with pytest.raises(ValueError):
-        j_iter(c3_word, 3, 1, "*")
-    with pytest.raises(ValueError):
-        j_iter(c3_word, 3, -1)
 
 
 @pytest.mark.parametrize("name,count", [("A2", 2), ("G2", 2), ("A3", 16), ("B3", 42), ("C3", 42)])
