@@ -19,7 +19,7 @@ from . import decograph, oracle, stringcone
 from .decograph import GraphError, UnsupportedIndex, build_graph, to_dot, to_json
 from .oracle import MixedSigns, NotTypeA
 from .rootsystem import CartanType, RootSystemError, cartan_matrix, minuscule_indices
-from .stringcone import dual_kostant_count, string_cone, weight_census
+from .stringcone import dual_kostant_count, string_cone, weight_census, weights_up_to
 from .wordtools import LimitExceeded, WordError, enumerate_w0_words, parse_word
 
 OUTDIR_ENV = "TROPICONE_OUTDIR"
@@ -104,6 +104,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.census_bound < 0:
+        print("error: --census-bound must be nonnegative", file=sys.stderr)
+        return 1
     cd = cartan_matrix(CartanType.parse(args.type))
     if args.all_words:
         words = list(enumerate_w0_words(cd, limit=args.word_limit))
@@ -126,7 +129,7 @@ def cmd_oracle(args) -> int:
     else:
         census_words = [words[0], words[len(words) // 3], words[2 * len(words) // 3], words[-1]]
     bound = args.census_bound
-    mvecs = [mv for mv in _mvecs(cd.n, bound)]
+    mvecs = list(weights_up_to(cd.n, bound))
     for w in census_words:
         cone = string_cone(cd, w)
         for mv in mvecs:
@@ -150,21 +153,6 @@ def cmd_oracle(args) -> int:
     }
     _write_output(_json_text(payload), args.out)
     return 0 if status == "pass" else 1
-
-
-def _mvecs(n: int, bound: int):
-    """All nonnegative integer vectors of length n with sum <= bound."""
-
-    def rec(prefix, left, budget):
-        if left == 0:
-            yield tuple(prefix)
-            return
-        for x in range(budget + 1):
-            prefix.append(x)
-            yield from rec(prefix, left - 1, budget - x)
-            prefix.pop()
-
-    yield from rec([], n, bound)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -80,13 +80,37 @@ def _class_tuples(size: int, total: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
+def weights_up_to(n: int, bound: int):
+    """All nonnegative integer vectors of length n with sum <= bound, in lexicographic order."""
+
+    def rec(prefix, left, budget):
+        if left == 0:
+            yield tuple(prefix)
+            return
+        for x in range(budget + 1):
+            prefix.append(x)
+            yield from rec(prefix, left - 1, budget - x)
+            prefix.pop()
+
+    yield from rec([], n, bound)
+
+
 def weight_census(cone: ConeSystem, mvec) -> int:
     """Count lattice points of the cone with prescribed letter sums.
 
     For each letter value t, the coordinates at positions carrying t must sum
     to mvec[t-1]. Candidates range over [-S, S] per coordinate with
-    S = sum(mvec); rows whose support sits inside a single letter class
-    filter that class before the full product is formed.
+    S = sum(mvec); this box is assumed, not certified.
+
+    Each letter class keeps only its candidates' contributions to every row,
+    never the points. A fixpoint filter drops a candidate once some row stays
+    negative even when every other class gives that row its maximum; for a
+    row supported inside one class this is the exact row check. The classes
+    are then merged one at a time, fewest candidates first, into a frontier
+    of partial row sums. After each merge an entry survives only while it
+    could still reach every row's bound with the later classes' maxima; at
+    the last merge that is the exact check, so memory is bounded by the
+    surviving frontier rather than by the product of the classes.
     """
     w = cone.word
     n, N = cone.cd.n, cone.N
@@ -96,43 +120,42 @@ def weight_census(cone: ConeSystem, mvec) -> int:
     S = sum(mv)
     if S == 0:
         return 1
-    classes = [[l for l in range(1, N + 1) if w.letter(l) == t] for t in range(1, n + 1)]
-    for t0 in range(n):
-        if mv[t0] > 0 and not classes[t0]:
-            return 0
-    row_mat = np.array([row.d for _, row in cone.rows], dtype=np.int64)
+    row_mat = np.array([row.d for _, row in cone.rows], dtype=np.int64).reshape(-1, N)
 
-    class_arrays = []
-    for t0 in range(n):
-        positions = classes[t0]
-        if not positions:
-            class_arrays.append((positions, np.zeros((1, 0), dtype=np.int64)))
+    letters = np.array(w.letters)
+    contribs = []
+    for t, m_t in enumerate(mv, start=1):
+        cols = np.flatnonzero(letters == t)
+        if cols.size == 0:
+            if m_t > 0:
+                return 0
             continue
-        arr = np.array(_class_tuples(len(positions), mv[t0], S), dtype=np.int64)
-        if arr.size == 0:
-            return 0
-        arr = arr.reshape(-1, len(positions))
-        pos_set = set(positions)
-        for _, row in cone.rows:
-            support = {l for l in range(1, N + 1) if row.d[l - 1] != 0}
-            if support and support <= pos_set:
-                sub = np.array([row.d[l - 1] for l in positions], dtype=np.int64)
-                arr = arr[arr @ sub >= 0]
-                if arr.shape[0] == 0:
-                    return 0
-        class_arrays.append((positions, arr))
+        arr = np.array(_class_tuples(cols.size, m_t, S), dtype=np.int64).reshape(-1, cols.size)
+        contribs.append(arr @ row_mat[:, cols].T)
 
-    z = np.zeros((1, N), dtype=np.int64)
-    for positions, arr in class_arrays:
-        if not positions:
-            continue
-        k = arr.shape[0]
-        prev = z.shape[0]
-        z = np.repeat(z, k, axis=0)
-        block = np.tile(arr, (prev, 1))
-        z[:, [l - 1 for l in positions]] = block
-    feasible = (z @ row_mat.T >= 0).all(axis=1)
-    return int(feasible.sum())
+    # one row per surviving candidate, all classes stacked in order; cls names its class
+    cand = np.concatenate(contribs)
+    cls = np.repeat(np.arange(len(contribs)), [len(c) for c in contribs])
+    while True:
+        counts = np.bincount(cls, minlength=len(contribs))
+        if not counts.all():
+            return 0
+        best = np.maximum.reduceat(cand, np.cumsum(counts) - counts, axis=0)
+        keep = (cand + (best.sum(axis=0) - best)[cls] >= 0).all(axis=1)
+        if keep.all():
+            break
+        cand, cls = cand[keep], cls[keep]
+
+    rest = best.sum(axis=0)
+    frontier = np.zeros((1, cand.shape[1]), dtype=np.int64)
+    for k in np.argsort(counts, kind="stable"):
+        rest -= best[k]
+        block = cand[cls == k]
+        frontier = (frontier[:, None, :] + block[None, :, :]).reshape(-1, frontier.shape[1])
+        frontier = frontier[(frontier + rest >= 0).all(axis=1)]
+        if frontier.shape[0] == 0:
+            return 0
+    return frontier.shape[0]
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,11 @@ def b3():
 
 
 @pytest.fixture(scope="session")
+def b4():
+    return cartan_matrix(CartanType.parse("B4"))
+
+
+@pytest.fixture(scope="session")
 def c3_word(c3):
     return validate_word(c3, fx.C3_WORD)
 

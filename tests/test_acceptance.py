@@ -12,7 +12,7 @@ from tropicone.rootsystem import CartanType, cartan_matrix
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.decograph import build_graph, verify_graph
 from tropicone.oracle import agreement_report, crosscheck_b_equals_c
-from tropicone.stringcone import dual_kostant_count, render, string_cone, weight_census
+from tropicone.stringcone import dual_kostant_count, render, string_cone, weight_census, weights_up_to
 
 import fixture_data as fx
 from fixture_data import ev
@@ -132,22 +132,12 @@ def test_criterion_7_fast_path_equals_generic(capsys):
 
 def test_criterion_8_census_across_words(capsys, c3, a3):
     with criterion(capsys, 8, "lattice point census is word independent and counts partitions", budget=120.0):
-        def mvecs(n, bound):
-            def rec(prefix, left, budget_):
-                if left == 0:
-                    yield tuple(prefix)
-                    return
-                for x in range(budget_ + 1):
-                    yield from rec(prefix + [x], left - 1, budget_ - x)
-
-            yield from rec([], n, bound)
-
         c3_words = [validate_word(c3, fx.C3_WORD), validate_word(c3, fx.C3_WORD_ALT)]
         a3_all = list(enumerate_w0_words(a3))
         a3_words = [a3_all[k] for k in (0, 5, 10, 15)]
         for cd, words in [(c3, c3_words), (a3, a3_words)]:
             cones = [string_cone(cd, w) for w in words]
-            for mv in mvecs(cd.n, 4):
+            for mv in weights_up_to(cd.n, 4):
                 counts = {weight_census(cone, mv) for cone in cones}
                 assert len(counts) == 1, (str(cd.ctype), mv, counts)
                 assert counts == {dual_kostant_count(cd, mv)}, (str(cd.ctype), mv)

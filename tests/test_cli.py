@@ -63,6 +63,8 @@ def test_bad_input_exit_codes(capsys):
     assert run(capsys, "graph", "--type", "C3", "--word", "2,2,2,1,2,3,2,3,1", "--i", "2")[0] == 1
     assert run(capsys, "graph", "--type", "C3", "--word", "2,3,2", "--i", "2")[0] == 1
     assert run(capsys, "cone", "--type", "C3", "--word", "2,3,2,1,2,3,2,3,x")[0] == 1
+    rc, out, err = run(capsys, "oracle", "--type", "A3", "--word", "1,2,1,3,2,1", "--census-bound", "-1")
+    assert (rc, out, err) == (1, "", "error: --census-bound must be nonnegative\n")
 
 
 def test_out_of_memory_exits_1(capsys, monkeypatch):

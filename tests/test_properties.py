@@ -15,7 +15,7 @@ from tropicone.rootsystem import (
 from tropicone.wordtools import enumerate_w0_words, j_minus, j_plus
 from tropicone.monomial import ExponentVec, a_monomial
 from tropicone.decograph import b_from_d, build_graph, verify_graph
-from tropicone.stringcone import string_cone, weight_census
+from tropicone.stringcone import dual_kostant_count, string_cone, weight_census, weights_up_to
 
 CDS = [cartan_matrix(CartanType.parse(name)) for name in ("A3", "B3", "C3", "D4", "G2", "F4")]
 WORD_POOL = [
@@ -149,7 +149,8 @@ def test_generic_rule_builds_the_minuscule_graph(args):
 
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from(WORD_POOL))
-def test_census_of_zero_weight_is_one(pair):
+def test_census_counts_dual_partitions_up_to_weight_three(pair):
     cd, w = pair
     cone = string_cone(cd, w)
-    assert weight_census(cone, (0,) * cd.n) == 1
+    for mvec in weights_up_to(cd.n, 3):
+        assert weight_census(cone, mvec) == dual_kostant_count(cd, mvec), mvec

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from tropicone.monomial import ExponentVec
-from tropicone.wordtools import validate_word
+from tropicone.rootsystem import CartanType, cartan_matrix
+from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.stringcone import (
     contains,
     dual_kostant_count,
@@ -12,6 +13,7 @@ from tropicone.stringcone import (
     string_cone,
     to_json_dict,
     weight_census,
+    weights_up_to,
 )
 
 import fixture_data as fx
@@ -76,6 +78,41 @@ def test_census_is_word_independent(c3, c3_word):
     cone = string_cone(c3, c3_word)
     for mvec in [(1, 1, 0), (1, 1, 1), (0, 2, 1)]:
         assert weight_census(cone, mvec) == weight_census(alt, mvec)
+
+
+def test_census_b4_first_word(b4):
+    # the dense product of per-class candidates ran out of memory at (2, 1, 1, 1)
+    cone = string_cone(b4, next(enumerate_w0_words(b4)))
+    for mvec in [(1, 1, 1, 1), (2, 1, 1, 1)]:
+        assert weight_census(cone, mvec) == dual_kostant_count(b4, mvec)
+
+
+def test_census_d4_at_weight_four(d4, d4_word):
+    cone = string_cone(d4, d4_word)
+    for mvec in weights_up_to(4, 4):
+        if sum(mvec) == 4:
+            assert weight_census(cone, mvec) == dual_kostant_count(d4, mvec), mvec
+
+
+# seeded random words, away from the lexicographically first ones
+RANK_FOUR_WORDS = [
+    ("B4", (4, 1, 2, 1, 3, 4, 2, 1, 3, 2, 4, 3, 1, 2, 4, 3)),
+    ("C4", (1, 4, 2, 3, 1, 2, 1, 4, 3, 4, 2, 3, 4, 1, 2, 3)),
+    ("D4", (3, 1, 4, 2, 1, 3, 4, 2, 4, 1, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("name, letters", RANK_FOUR_WORDS)
+def test_census_rank_four_words_up_to_weight_four(name, letters):
+    cd = cartan_matrix(CartanType.parse(name))
+    cone = string_cone(cd, validate_word(cd, letters))
+    for mvec in weights_up_to(4, 4):
+        assert weight_census(cone, mvec) == dual_kostant_count(cd, mvec), mvec
+
+
+def test_weights_up_to_order():
+    assert list(weights_up_to(2, 2)) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert list(weights_up_to(3, 0)) == [(0, 0, 0)]
 
 
 def test_dual_kostant_small_values(c3):
