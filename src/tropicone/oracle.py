@@ -5,21 +5,23 @@ Two oracles, deliberately sharing nothing with the graph builder:
 * trail enumeration in a minuscule weight diagram, walking weight paths
   gamma_0 -> gamma_N with steps of 0 or 1 times a simple root, which yields
   both the exponent vectors c and the monomials d;
-* exact symbolic expansion of the relevant minor of the matrix product
-  x_{-i_1}(t_1) ... x_{-i_N}(t_N) in type A, which also recovers the
-  positive integer coefficients the graph never sees.
+* the relevant minor of the matrix product x_{-i_1}(t_1) ... x_{-i_N}(t_N)
+  in type A, exact as a Laurent polynomial and computed by propagation:
+  only the minors on its fixed rows are carried through the word, each
+  updated per letter by Cauchy-Binet. It also recovers the positive integer
+  coefficients the graph never sees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .decograph import b_from_d, build_graph
 from .monomial import ExponentVec, render
 from .rootsystem import (
     CartanData,
     NotMinuscule,
+    RootSystemError,
     WeightVec,
     fundamental_weight,
     minuscule_indices,
@@ -140,18 +142,6 @@ class LaurentPoly:
     N: int
     terms: dict[tuple[int, ...], int] = field(default_factory=dict)
 
-    @classmethod
-    def zero(cls, N: int) -> "LaurentPoly":
-        return cls(N, {})
-
-    @classmethod
-    def monomial(cls, N: int, expo: tuple[int, ...], coeff: int = 1) -> "LaurentPoly":
-        return cls(N, {expo: coeff}) if coeff else cls(N, {})
-
-    @classmethod
-    def one(cls, N: int) -> "LaurentPoly":
-        return cls.monomial(N, (0,) * N)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -166,18 +156,6 @@ class LaurentPoly:
                 out.pop(e, None)
         return LaurentPoly(self.N, out)
 
-    def mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.N, out)
-
     def neg(self) -> "LaurentPoly":
         return LaurentPoly(self.N, {e: -c for e, c in self.terms.items()})
 
@@ -185,76 +163,86 @@ class LaurentPoly:
         return {ExponentVec(e) for e in self.terms}
 
 
-def _poly_matmul(A, B, N):
-    size = len(A)
-    out = [[LaurentPoly.zero(N) for _ in range(size)] for _ in range(size)]
-    for r in range(size):
-        for c in range(size):
-            acc = LaurentPoly.zero(N)
-            for m in range(size):
-                if A[r][m].is_zero or B[m][c].is_zero:
-                    continue
-                acc = acc.add(A[r][m].mul(B[m][c]))
-            out[r][c] = acc
-    return out
+# The 2x2 block [[t^-1, 0], [1, t]] of the factor x_{-m}(t) on columns
+# (m-1, m), each entry a polynomial in that factor's t as {power: coefficient}.
+# The only place the sign convention lives.
+_BLOCK = (({-1: 1}, {}), ({0: 1}, {1: 1}))
 
 
-def _poly_det(M, N):
-    size = len(M)
-    det = LaurentPoly.zero(N)
-    for perm in permutations(range(size)):
-        inversions = sum(
-            1 for x in range(size) for y in range(x + 1, size) if perm[x] > perm[y]
-        )
-        term = LaurentPoly.one(N)
-        for r in range(size):
-            term = term.mul(M[r][perm[r]])
-            if term.is_zero:
-                break
-        if term.is_zero:
-            continue
-        det = det.add(term if inversions % 2 == 0 else term.neg())
-    return det
+def _block_det(block) -> dict[int, int]:
+    """ad - bc of a block [[a, b], [c, d]] of polynomials in t."""
+    (a, b), (c, d) = block
+    out: dict[int, int] = {}
+    for sign, f, g in ((1, a, d), (-1, b, c)):
+        for s1, c1 in f.items():
+            for s2, c2 in g.items():
+                out[s1 + s2] = out.get(s1 + s2, 0) + sign * c1 * c2
+    return {s: v for s, v in out.items() if v}
+
+
+def _accumulate(out: dict, f: dict[int, int], poly: dict, k: int) -> None:
+    """out += f(t_{k+1}) * poly, in place; f is a polynomial in t_{k+1} alone."""
+    for s, cf in f.items():
+        for e, c in poly.items():
+            e2 = e[:k] + (e[k] + s,) + e[k + 1 :]
+            v = out.get(e2, 0) + cf * c
+            if v:
+                out[e2] = v
+            else:
+                del out[e2]
 
 
 def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> LaurentPoly:
-    """Exact expansion of the minor on rows {n+2-i..n+1}, columns [1,i-1] u {i+1}.
+    """The minor on rows {n+2-i..n+1}, columns [1,i-1] u {i+1}, exactly.
 
     The matrix is the product over the word of the one-parameter factors,
     each the identity except for the 2x2 block [[t^-1, 0], [1, t]] at the
-    letter's position. The result is normalized to positive coefficients;
-    a genuinely mixed-sign expansion is a hard error.
+    letter's position. Only the minors D_K on the fixed rows are carried, one
+    per column set K, starting from the identity. Right multiplication by a
+    factor F on the adjacent columns p, q updates them by Cauchy-Binet,
+    D_K(PF) = sum over J of D_J(P) * D_{J,K}(F): with the block [[a, b], [c, d]],
+    a K holding p but not q becomes a*D_K + c*D_{K-p+q}, one holding q but not
+    p becomes d*D_K + b*D_{K-q+p}, one holding both becomes (ad - bc)*D_K, and
+    one holding neither is unchanged. The result is normalized to positive
+    coefficients; a genuinely mixed-sign minor is a hard error.
     """
     if cd.ctype.family != "A":
         raise NotTypeA(f"minor oracle needs type A, got {cd.ctype}")
     n, N = cd.n, w.N
-    size = n + 1
-    prod = [
-        [LaurentPoly.one(N) if r == c else LaurentPoly.zero(N) for c in range(size)]
-        for r in range(size)
-    ]
+    if not 1 <= i <= n:
+        raise RootSystemError(f"index {i} out of [1, {n}]")
+    (a, b), (c, d) = _BLOCK
+    det = _block_det(_BLOCK)
+    # column sets as bit masks over the 0-based columns 0..n
+    rows = sum(1 << r for r in range(n + 1 - i, n + 1))
+    minors = {rows: {(0,) * N: 1}}
     for l in range(1, N + 1):
-        m = w.letter(l)
-        e_inv = tuple(-1 if t == l - 1 else 0 for t in range(N))
-        e_pos = tuple(1 if t == l - 1 else 0 for t in range(N))
-        factor = [
-            [LaurentPoly.one(N) if r == c else LaurentPoly.zero(N) for c in range(size)]
-            for r in range(size)
-        ]
-        factor[m - 1][m - 1] = LaurentPoly.monomial(N, e_inv)
-        factor[m][m - 1] = LaurentPoly.one(N)
-        factor[m][m] = LaurentPoly.monomial(N, e_pos)
-        prod = _poly_matmul(prod, factor, N)
-    rows = list(range(n + 2 - i, n + 2))
-    cols = list(range(1, i)) + [i + 1]
-    sub = [[prod[r - 1][c - 1] for c in cols] for r in rows]
-    det = _poly_det(sub, N)
-    coeffs = list(det.terms.values())
-    if coeffs and all(c < 0 for c in coeffs):
-        det = det.neg()
-    elif any(c < 0 for c in coeffs):
+        bp, bq = 1 << (w.letter(l) - 1), 1 << w.letter(l)
+        new: dict[int, dict] = {}
+        for J, poly in minors.items():
+            has_p, has_q = bool(J & bp), bool(J & bq)
+            if not has_p and not has_q:
+                new[J] = poly  # no other J reaches this K = J
+                continue
+            if has_p and has_q:
+                targets = [(J, det)]
+            elif has_p:
+                # p and q are adjacent, so swapping one for the other keeps
+                # every other column in place and the 1x1 cofactor sign is +
+                targets = [(J, a), (J ^ bp ^ bq, b)]
+            else:
+                targets = [(J, d), (J ^ bp ^ bq, c)]
+            for K, f in targets:
+                _accumulate(new.setdefault(K, {}), f, poly, l - 1)
+        minors = {K: poly for K, poly in new.items() if poly}
+    cols = sum(1 << col for col in range(i - 1)) | 1 << i
+    minor = LaurentPoly(N, minors.get(cols, {}))
+    coeffs = list(minor.terms.values())
+    if coeffs and all(v < 0 for v in coeffs):
+        minor = minor.neg()
+    elif any(v < 0 for v in coeffs):
         raise MixedSigns(f"minor for ({cd.ctype}, i={i}, word {w}) has mixed signs")
-    return det
+    return minor
 
 
 # ---------------------------------------------------------------- agreement

@@ -86,18 +86,34 @@ def test_criterion_4_g2_both_words(capsys, g2, g2_word_a, g2_word_b):
         assert list(build_graph(g2, g2_word_b, 1).vertices) == [ExponentVec.unit(6, 6)]
 
 
+# seeded random words of w0, each letter undoing a uniformly chosen descent
+# of the longest permutation, away from the lexicographically first ones
+TYPE_A_WORDS = [
+    ("A5", (2, 1, 4, 2, 5, 4, 3, 4, 2, 1, 5, 3, 4, 2, 3)),
+    ("A5", (1, 2, 1, 4, 3, 5, 4, 3, 2, 5, 1, 3, 4, 2, 3)),
+    ("A6", (2, 6, 1, 4, 2, 5, 4, 6, 5, 3, 2, 4, 1, 5, 6, 3, 4, 5, 2, 3, 4)),
+    ("A6", (1, 2, 1, 5, 3, 6, 5, 4, 3, 2, 5, 1, 6, 3, 4, 5, 3, 4, 2, 3, 4)),
+    ("A7", (2, 6, 1, 4, 2, 5, 7, 4, 6, 3, 2, 7, 1, 5, 6, 4, 5, 6, 3, 7, 2, 4, 1, 3, 5, 4, 6, 5)),
+]
+
+
 def test_criterion_5_type_a_three_way_oracle(capsys):
     with criterion(capsys, 5, "type A minors, trail sums and graphs agree", budget=30.0):
+        cases = []
         for name in ("A2", "A3"):
             cd = cartan_matrix(CartanType.parse(name))
-            for w in enumerate_w0_words(cd):
-                for i in range(1, cd.n + 1):
-                    rep = agreement_report(cd, w, i)
-                    assert rep["status"] == "pass", rep
-                    assert rep["graph_count"] == rep["trail_count"] == rep["minor_count"]
-                    assert all(c == 1 for c in rep["coefficient_table"].values())
-                    cross = crosscheck_b_equals_c(cd, w, i)
-                    assert cross["status"] == "pass", cross
+            cases += [(cd, w) for w in enumerate_w0_words(cd)]
+        for name, letters in TYPE_A_WORDS:
+            cd = cartan_matrix(CartanType.parse(name))
+            cases.append((cd, validate_word(cd, letters)))
+        for cd, w in cases:
+            for i in range(1, cd.n + 1):
+                rep = agreement_report(cd, w, i)
+                assert rep["status"] == "pass", rep
+                assert rep["graph_count"] == rep["trail_count"] == rep["minor_count"]
+                assert all(c == 1 for c in rep["coefficient_table"].values())
+                cross = crosscheck_b_equals_c(cd, w, i)
+                assert cross["status"] == "pass", cross
 
 
 def test_criterion_6_invariants_across_words(capsys, d4, d4_word, g2, g2_word_a, g2_word_b):

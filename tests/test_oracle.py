@@ -1,11 +1,16 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from tropicone.rootsystem import CartanType, NotMinuscule, cartan_matrix
+from tropicone import oracle
+from tropicone.rootsystem import CartanType, NotMinuscule, RootSystemError, cartan_matrix
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.decograph import build_graph
 from tropicone.monomial import ExponentVec
 from tropicone.oracle import (
     LaurentPoly,
+    MixedSigns,
     NotTypeA,
     agreement_report,
     crosscheck_b_equals_c,
@@ -16,13 +21,9 @@ from tropicone.oracle import (
 
 
 def test_laurent_poly_algebra():
-    one = LaurentPoly.one(2)
-    t = LaurentPoly.monomial(2, (1, 0))
-    s = LaurentPoly.monomial(2, (0, 1))
-    assert t.mul(one).terms == t.terms
-    prod = one.add(t).mul(one.add(t.neg()))
-    assert prod.terms == {(0, 0): 1, (2, 0): -1}
-    assert t.mul(s).terms == {(1, 1): 1}
+    one = LaurentPoly(2, {(0, 0): 1})
+    t = LaurentPoly(2, {(1, 0): 1})
+    assert one.add(t.neg()).terms == {(0, 0): 1, (1, 0): -1}
     assert t.add(t.neg()).is_zero
 
 
@@ -39,6 +40,95 @@ def test_a1_minor_is_single_variable():
 def test_not_type_a(c3, c3_word):
     with pytest.raises(NotTypeA):
         typeA_minor_poly(c3, c3_word, 1)
+
+
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_minor_rejects_index_out_of_range(a3, i):
+    w = validate_word(a3, (1, 2, 1, 3, 2, 1))
+    with pytest.raises(RootSystemError):
+        typeA_minor_poly(a3, w, i)
+
+
+# the factor x_{-m}(t) with a sign mistyped on its diagonal
+@pytest.mark.parametrize(
+    "block",
+    [(({-1: -1}, {}), ({0: 1}, {1: 1})), (({-1: 1}, {}), ({0: 1}, {1: -1}))],
+)
+def test_wrong_sign_block_gives_mixed_signs(a3, monkeypatch, block):
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    with pytest.raises(MixedSigns):
+        typeA_minor_poly(a3, validate_word(a3, (2, 3, 1, 2, 1, 3)), 2)
+
+
+def _numeric_product(n, letters, ts):
+    """x_{-i_1}(t_1) ... x_{-i_N}(t_N) as an explicit matrix of fractions."""
+    size = n + 1
+    prod = [[Fraction(int(r == c)) for c in range(size)] for r in range(size)]
+    for m, t in zip(letters, ts):
+        factor = [[Fraction(int(r == c)) for c in range(size)] for r in range(size)]
+        factor[m - 1][m - 1] = 1 / t
+        factor[m][m - 1] = Fraction(1)
+        factor[m][m] = t
+        prod = [
+            [sum(prod[r][k] * factor[k][c] for k in range(size)) for c in range(size)]
+            for r in range(size)
+        ]
+    return prod
+
+
+def _det(sub):
+    """Determinant by Gaussian elimination over the rationals."""
+    sub = [list(row) for row in sub]
+    size, det = len(sub), Fraction(1)
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if sub[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            sub[k], sub[pivot] = sub[pivot], sub[k]
+            det = -det
+        det *= sub[k][k]
+        for r in range(k + 1, size):
+            ratio = sub[r][k] / sub[k][k]
+            sub[r] = [x - ratio * y for x, y in zip(sub[r], sub[k])]
+    return det
+
+
+def _evaluate(poly, ts):
+    total = Fraction(0)
+    for expo, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for t, e in zip(ts, expo):
+            term *= t**e
+        total += term
+    return total
+
+
+A4_WORDS = [
+    (1, 2, 1, 3, 2, 1, 4, 3, 2, 1),
+    # seeded random words
+    (2, 4, 1, 3, 2, 3, 4, 3, 1, 2),
+    (1, 2, 1, 4, 3, 4, 2, 1, 3, 2),
+    (2, 4, 1, 3, 4, 2, 1, 3, 4, 2),
+]
+
+
+def test_minor_matches_numeric_determinant(a3):
+    a4 = cartan_matrix(CartanType.parse("A4"))
+    cases = [(a3, w) for w in enumerate_w0_words(a3)]
+    cases += [(a4, validate_word(a4, letters)) for letters in A4_WORDS]
+    rng = random.Random(4)
+    for cd, w in cases:
+        n = cd.n
+        polys = {i: typeA_minor_poly(cd, w, i) for i in range(1, n + 1)}
+        for _ in range(3):
+            ts = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(w.N)]
+            prod = _numeric_product(n, w.letters, ts)
+            for i, poly in polys.items():
+                # rows {n+2-i..n+1}, columns [1,i-1] u {i+1}, here 0-based
+                cols = list(range(i - 1)) + [i]
+                sub = [[prod[r][c] for c in cols] for r in range(n + 1 - i, n + 1)]
+                assert _evaluate(poly, ts) == _det(sub), (w.letters, i, ts)
 
 
 def test_weight_diagram_c3_vector_rep(c3, c3_word):
