@@ -2,7 +2,7 @@
 
 from .rootsystem import CartanData, CartanType, cartan_matrix
 from .wordtools import ReducedWord, enumerate_w0_words, parse_word, validate_word
-from .monomial import ExponentVec, a_monomial, lowest_term, render
+from .monomial import a_monomial, lowest_term, render
 from .decograph import DecoGraph, SupportStatus, build_graph, supported, verify_graph
 from .stringcone import ConeSystem, string_cone, weight_census
 
@@ -14,7 +14,6 @@ __all__ = [
     "enumerate_w0_words",
     "parse_word",
     "validate_word",
-    "ExponentVec",
     "a_monomial",
     "lowest_term",
     "render",

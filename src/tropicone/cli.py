@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: graph, cone, check, oracle. Exit codes: 0 success, 1 bad
-input, a failed check or running out of memory, 2 unsupported index without
---force, 3 internal assertion failure.
+input, a failed check, running out of memory or an output path that cannot
+be written, 2 unsupported index without --force, 3 internal assertion
+failure.
 Identical invocations produce byte-identical output; files are written
 atomically next to their final path.
 """
@@ -10,6 +11,7 @@ atomically next to their final path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,13 +27,18 @@ from .wordtools import LimitExceeded, WordError, enumerate_w0_words, parse_word
 OUTDIR_ENV = "TROPICONE_OUTDIR"
 
 
+def _out_path(path: str) -> str:
+    outdir = os.environ.get(OUTDIR_ENV)
+    if outdir and not os.path.isabs(path):
+        return os.path.join(outdir, path)
+    return path
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
+    path = _out_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tropicone-")
@@ -155,7 +162,9 @@ def cmd_oracle(args) -> int:
     return 0 if status == "pass" else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="tropicone",
         description="Monomial graphs and string cone inequality systems over reduced words.",
@@ -199,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnsupportedIndex as e:
@@ -214,6 +222,10 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         print(f"error: out of memory running {args.command}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        target = _out_path(args.out) if args.out else "stdout"
+        print(f"error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
         return 1
 
 

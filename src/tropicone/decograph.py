@@ -1,8 +1,9 @@
 """The monomial graph of one half-potential summand.
 
-Vertices are Laurent monomials in t_1..t_N, each carrying its b integer
-vector; edges divide by an A_j monomial. Construction starts from the single
-all-nonnegative monomial t_k and repeatedly fires the arrow conditions:
+Vertices are Laurent monomials in t_1..t_N, exponent tuples d, each mapped
+to its b integer tuple; edges divide by an A_j monomial, that is subtract its
+exponents. Construction starts from the single all-nonnegative monomial t_k
+and repeatedly fires the arrow conditions:
 
   a position j fires when j+ <= N, d_j > 0, b_{j+} > 0 and either
     (a) d_{j+} < d_j, or
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import sub
 
-from .monomial import ExponentVec, a_monomial, lowest_term, render
+from .monomial import a_monomial, lowest_term, render, unit
 from .rootsystem import (
     CartanData,
     CartanType,
@@ -85,31 +86,26 @@ def supported(ctype: CartanType, i: int) -> SupportStatus:
     return SupportStatus.UNPROVEN
 
 
-@dataclass(frozen=True)
-class Vertex:
-    d: ExponentVec
-    b: tuple[int, ...]
-
-
 @dataclass
 class DecoGraph:
     cd: CartanData
     word: ReducedWord
     i: int
-    vertices: dict[ExponentVec, Vertex]
-    edges: list[tuple[ExponentVec, int, ExponentVec]]
-    source: ExponentVec
+    # exponent tuple d -> its b tuple, in creation order
+    vertices: dict[tuple[int, ...], tuple[int, ...]]
+    edges: list[tuple[tuple[int, ...], int, tuple[int, ...]]]
+    source: tuple[int, ...]
     status: SupportStatus
     rule: str
     forced: bool = False
     violations: list[str] = field(default_factory=list)
 
-    def sinks(self) -> list[ExponentVec]:
+    def sinks(self) -> list[tuple[int, ...]]:
         has_out = {src for src, _, _ in self.edges}
         return [d for d in self.vertices if d not in has_out]
 
 
-def b_from_d(cd: CartanData, w: ReducedWord, i: int, d: ExponentVec) -> tuple[int, ...]:
+def b_from_d(cd: CartanData, w: ReducedWord, i: int, d: tuple[int, ...]) -> tuple[int, ...]:
     """The b integers of a monomial, from the downward recursion.
 
     b_N = d_N + <h_{i_N}, s_i Lambda_i> and, going down,
@@ -119,13 +115,13 @@ def b_from_d(cd: CartanData, w: ReducedWord, i: int, d: ExponentVec) -> tuple[in
     silam = reflect(cd, i, fundamental_weight(cd.n, i))
     pair = [silam.pairing(w.letters[t0]) for t0 in range(N)]
     b = [0] * N
-    b[N - 1] = d.d[N - 1] + pair[N - 1]
+    b[N - 1] = d[N - 1] + pair[N - 1]
     for t0 in range(N - 2, -1, -1):
         row = cd.rows[w.letters[t0] - 1]
         acc = 0
         for l0 in range(t0 + 1, N):
             acc += b[l0] * row[w.letters[l0] - 1]
-        b[t0] = d.d[t0] + pair[t0] - acc
+        b[t0] = d[t0] + pair[t0] - acc
     return tuple(b)
 
 
@@ -150,25 +146,25 @@ def _initial_b_closed_form(cd: CartanData, w: ReducedWord, i: int, k: int) -> tu
     return tuple(out)
 
 
-def initial_vertex(cd: CartanData, w: ReducedWord, i: int) -> Vertex:
-    """The source vertex t_k, with its b vector checked two independent ways."""
+def initial_vertex(cd: CartanData, w: ReducedWord, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The source (d, b) of t_k, with its b vector checked two independent ways."""
     k = source_index(w, i)
-    d = ExponentVec.unit(w.N, k)
+    d = unit(w.N, k)
     b = b_from_d(cd, w, i, d)
     closed = _initial_b_closed_form(cd, w, i, k)
     if b != closed:
         raise ClosedFormMismatch(
             f"initial b mismatch for {cd.ctype} i={i} word {w}: recursion {b}, closed form {closed}"
         )
-    return Vertex(d, b)
+    return d, b
 
 
-def _condition_b(w: ReducedWord, v: Vertex, j: int) -> bool:
+def _condition_b(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...], j: int) -> bool:
     """The (d,b) = (0,0) ... (-1,1) chain test along j^{2+}, j^{3+}, ..."""
     jplus, N = w.jplus, w.N
     pos = jplus[jplus[j - 1] - 1]
     while pos <= N:
-        dp, bp = v.d.d[pos - 1], v.b[pos - 1]
+        dp, bp = d[pos - 1], b[pos - 1]
         if dp == -1 and bp == 1:
             return True
         if dp or bp:
@@ -177,9 +173,9 @@ def _condition_b(w: ReducedWord, v: Vertex, j: int) -> bool:
     return False
 
 
-def firing_labels(cd: CartanData, w: ReducedWord, v: Vertex) -> list[int]:
-    """All positions that fire from v under the generic rule, ascending."""
-    d, b, N = v.d.d, v.b, w.N
+def firing_labels(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """All positions that fire from (d, b) under the generic rule, ascending."""
+    N = w.N
     out = []
     for j, jp in enumerate(w.jplus, start=1):
         if jp > N:
@@ -188,24 +184,22 @@ def firing_labels(cd: CartanData, w: ReducedWord, v: Vertex) -> list[int]:
         if dj <= 0 or b[jp - 1] <= 0:
             continue
         djp = d[jp - 1]
-        if djp < dj or (djp == dj and _condition_b(w, v, j)):
+        if djp < dj or (djp == dj and _condition_b(w, d, b, j)):
             out.append(j)
     return out
 
 
-def firing_labels_minuscule(cd: CartanData, w: ReducedWord, v: Vertex, i: int | None = None) -> list[int]:
+def firing_labels_minuscule(w: ReducedWord, d: tuple[int, ...]) -> list[int]:
     """The fast rule d_j = 1, d_{j+} != 1; only valid on minuscule (type, i)."""
-    if i is not None and i not in minuscule_indices(cd):
-        raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
-    d, N = v.d.d, w.N
+    N = w.N
     return [j for j, jp in enumerate(w.jplus, start=1) if jp <= N and d[j - 1] == 1 and d[jp - 1] != 1]
 
 
-def _firing_table(cd: CartanData, w: ReducedWord, i: int, v0: Vertex) -> tuple:
+def _firing_table(cd: CartanData, w: ReducedWord, i: int, d0: tuple[int, ...], b0: tuple[int, ...]) -> tuple:
     """The exponents of A_j for every j (None when j+ > N), kept on the word.
 
-    Proves the shift identity once per word, at the source v0: by the affine
-    argument it then holds at every vertex, for every i.
+    Proves the shift identity once per word, at the source (d0, b0): by the
+    affine argument it then holds at every vertex, for every i.
     """
     table = w.cache.get("a_monomials")
     if table is not None:
@@ -216,17 +210,17 @@ def _firing_table(cd: CartanData, w: ReducedWord, i: int, v0: Vertex) -> tuple:
             table.append(None)
             continue
         a = a_monomial(cd, w, j)
-        d2 = v0.d.div(a)
-        shifted = list(v0.b)
+        d2 = tuple(map(sub, d0, a))
+        shifted = list(b0)
         shifted[j - 1] += 1
         shifted[jp - 1] -= 1
         expected = b_from_d(cd, w, i, d2)
         if expected != tuple(shifted):
             raise BUpdateMismatch(
-                f"b update for {cd.ctype} word {w} i={i} at j={j} from {render(v0.d)}: "
+                f"b update for {cd.ctype} word {w} i={i} at j={j} from {render(d0)}: "
                 f"shifted {shifted}, recursion on {render(d2)} gives {expected}"
             )
-        table.append(a.d)
+        table.append(a)
     table = w.cache["a_monomials"] = tuple(table)
     return table
 
@@ -261,15 +255,14 @@ def build_graph(
     minuscule = rule == "minuscule"
     if minuscule and i not in minuscule_indices(cd):
         raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
-    labels_of = firing_labels_minuscule if minuscule else firing_labels
 
-    v0 = initial_vertex(cd, w, i)
-    table = _firing_table(cd, w, i, v0)
+    d0, b0 = initial_vertex(cd, w, i)
+    table = _firing_table(cd, w, i, d0, b0)
     jplus = w.jplus
-    vertices: dict[ExponentVec, Vertex] = {v0.d: v0}
-    edges: list[tuple[ExponentVec, int, ExponentVec]] = []
+    vertices = {d0: b0}
+    edges = []
     violations: list[str] = []
-    queue: deque[ExponentVec] = deque([v0.d])
+    queue = deque([d0])
 
     def problem(cls: type[GraphError], msg: str) -> None:
         if status is not SupportStatus.UNPROVEN:
@@ -277,13 +270,14 @@ def build_graph(
         violations.append(msg)
 
     while queue:
-        v = vertices[queue.popleft()]
-        for j in labels_of(cd, w, v):
+        d = queue.popleft()
+        b = vertices[d]
+        for j in firing_labels_minuscule(w, d) if minuscule else firing_labels(w, d, b):
             jp = jplus[j - 1]
-            if minuscule and v.b[jp - 1] <= 0:
-                problem(InvariantViolation, f"edge ({render(v.d)}, {j}) with b_(j+) <= 0")
-            d2 = ExponentVec(tuple(map(sub, v.d.d, table[j - 1])))
-            b2 = list(v.b)
+            if minuscule and b[jp - 1] <= 0:
+                problem(InvariantViolation, f"edge ({render(d)}, {j}) with b_(j+) <= 0")
+            d2 = tuple(map(sub, d, table[j - 1]))
+            b2 = list(b)
             b2[j - 1] += 1
             b2[jp - 1] -= 1
             b2 = tuple(b2)
@@ -291,11 +285,11 @@ def build_graph(
             if known is None:
                 if len(vertices) >= max_vertices:
                     raise GraphError(f"vertex cap {max_vertices} hit; aborting")
-                vertices[d2] = Vertex(d2, b2)
+                vertices[d2] = b2
                 queue.append(d2)
-            elif known.b != b2:
-                problem(BUpdateMismatch, f"merge at {render(d2)}: stored b {known.b}, incoming {b2}")
-            edges.append((v.d, j, d2))
+            elif known != b2:
+                problem(BUpdateMismatch, f"merge at {render(d2)}: stored b {known}, incoming {b2}")
+            edges.append((d, j, d2))
 
     return DecoGraph(
         cd=cd,
@@ -303,7 +297,7 @@ def build_graph(
         i=i,
         vertices=vertices,
         edges=edges,
-        source=v0.d,
+        source=d0,
         status=status,
         rule=rule,
         forced=force,
@@ -327,8 +321,8 @@ def verify_graph(g: DecoGraph) -> dict:
         checks.append({"name": name, "status": "pass" if ok else "fail", "details": details})
 
     k = source_index(w, i)
-    nonneg = [d for d in g.vertices if all(e >= 0 for e in d.d)]
-    ok = nonneg == [g.source] and g.source == ExponentVec.unit(w.N, k)
+    nonneg = [d for d in g.vertices if all(e >= 0 for e in d)]
+    ok = nonneg == [g.source] and g.source == unit(w.N, k)
     add("unique_nonnegative_source", ok, f"nonnegative vertices: {[render(d) for d in nonneg]}")
 
     lt = lowest_term(cd, w, i)
@@ -339,7 +333,7 @@ def verify_graph(g: DecoGraph) -> dict:
         f"lowest term {render(lt)}, sinks {[render(d) for d in sinks]}",
     )
 
-    bad_div = [e for e in g.edges if e[2] != e[0].div(a_monomial(cd, w, e[1]))]
+    bad_div = [e for e in g.edges if e[2] != tuple(map(sub, e[0], a_monomial(cd, w, e[1])))]
     add("edges_divide_by_a", not bad_div, f"{len(bad_div)} bad edges")
 
     bad_b = []
@@ -347,7 +341,7 @@ def verify_graph(g: DecoGraph) -> dict:
     bad_l = []
     for src, j, dst in g.edges:
         jp = w.jplus[j - 1]
-        bs, bd = g.vertices[src].b, g.vertices[dst].b
+        bs, bd = g.vertices[src], g.vertices[dst]
         shifted = list(bs)
         shifted[j - 1] += 1
         shifted[jp - 1] -= 1
@@ -361,12 +355,10 @@ def verify_graph(g: DecoGraph) -> dict:
     add("edge_gate_b_positive", not bad_gate, f"{len(bad_gate)} bad edges")
     add("l_drops_on_edges", not bad_l, f"{len(bad_l)} bad edges")
 
-    bad_bneg = [render(d) for d, v in g.vertices.items() if any(x < 0 for x in v.b)]
+    bad_bneg = [render(d) for d, b in g.vertices.items() if any(x < 0 for x in b)]
     add("b_entries_nonnegative", not bad_bneg, f"{len(bad_bneg)} vertices")
 
-    bad_rec = [
-        render(d) for d, v in g.vertices.items() if v.b != b_from_d(cd, w, i, d)
-    ]
+    bad_rec = [render(d) for d, b in g.vertices.items() if b != b_from_d(cd, w, i, d)]
     add("b_matches_recursion", not bad_rec, f"{len(bad_rec)} vertices")
 
     if i in minuscule_indices(cd):
@@ -404,11 +396,11 @@ def to_json_dict(g: DecoGraph) -> dict:
             "edge_count": len(g.edges),
         },
         "vertices": [
-            {"d": list(d.d), "b": list(v.b), "monomial": render(d)} for d, v in g.vertices.items()
+            {"d": list(d), "b": list(b), "monomial": render(d)} for d, b in g.vertices.items()
         ],
-        "edges": [{"src": list(s.d), "j": j, "dst": list(t.d)} for s, j, t in g.edges],
-        "source": list(g.source.d),
-        "sinks": [list(d.d) for d in g.sinks()],
+        "edges": [{"src": list(s), "j": j, "dst": list(t)} for s, j, t in g.edges],
+        "source": list(g.source),
+        "sinks": [list(d) for d in g.sinks()],
         "violations": list(g.violations),
     }
 

@@ -1,8 +1,10 @@
-"""Exact Laurent monomials in t_1 .. t_N as integer exponent vectors."""
+"""Exact Laurent monomials in t_1 .. t_N as plain integer exponent tuples.
+
+The monomial prod_l t_l^{d_l} is the tuple (d_1, ..., d_N); it is hashed,
+compared and used as a dict key as it is.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .rootsystem import CartanData
 from .wordtools import ReducedWord, j_plus
@@ -12,46 +14,19 @@ class NoNextOccurrence(ValueError):
     """a_monomial asked at a position whose letter never repeats."""
 
 
-@dataclass(frozen=True)
-class ExponentVec:
-    """The monomial prod_l t_l^{d_l}, stored as the tuple (d_1, ..., d_N)."""
-
-    d: tuple[int, ...]
-
-    @classmethod
-    def zero(cls, N: int) -> "ExponentVec":
-        return cls((0,) * N)
-
-    @classmethod
-    def unit(cls, N: int, l: int) -> "ExponentVec":
-        """The single variable t_l, 1-based l."""
-        return cls(tuple(1 if t == l - 1 else 0 for t in range(N)))
-
-    def exp(self, l: int) -> int:
-        """Exponent of t_l, 1-based l."""
-        return self.d[l - 1]
-
-    def mul(self, other: "ExponentVec") -> "ExponentVec":
-        return ExponentVec(tuple(x + y for x, y in zip(self.d, other.d, strict=True)))
-
-    def div(self, other: "ExponentVec") -> "ExponentVec":
-        return ExponentVec(tuple(x - y for x, y in zip(self.d, other.d, strict=True)))
-
-    __mul__ = mul
-    __truediv__ = div
-
-    def __str__(self) -> str:
-        return render(self)
+def unit(N: int, l: int) -> tuple[int, ...]:
+    """The single variable t_l, 1-based l."""
+    return tuple(1 if t == l - 1 else 0 for t in range(N))
 
 
-def render(v: ExponentVec) -> str:
+def render(d: tuple[int, ...]) -> str:
     """Readable form, e.g. "t_1*t_5^2/t_6" or "t_7/(t_8*t_9)" or "1"."""
 
     def factor(l: int, e: int) -> str:
         return f"t_{l}" if e == 1 else f"t_{l}^{e}"
 
-    num = [(l, e) for l, e in enumerate(v.d, start=1) if e > 0]
-    den = [(l, -e) for l, e in enumerate(v.d, start=1) if e < 0]
+    num = [(l, e) for l, e in enumerate(d, start=1) if e > 0]
+    den = [(l, -e) for l, e in enumerate(d, start=1) if e < 0]
     num_s = "*".join(factor(l, e) for l, e in num) if num else "1"
     if not den:
         return num_s
@@ -60,7 +35,7 @@ def render(v: ExponentVec) -> str:
     return num_s + "/(" + "*".join(factor(l, e) for l, e in den) + ")"
 
 
-def a_monomial(cd: CartanData, w: ReducedWord, j: int) -> ExponentVec:
+def a_monomial(cd: CartanData, w: ReducedWord, j: int) -> tuple[int, ...]:
     """A_j = t_j t_{j+} prod_{j<l<j+} t_l^{a_{i_l, i_j}}.
 
     Every graph edge divides by one of these.
@@ -74,14 +49,14 @@ def a_monomial(cd: CartanData, w: ReducedWord, j: int) -> ExponentVec:
     ij = w.letter(j)
     for l in range(j + 1, jp):
         out[l - 1] = cd.a(w.letter(l), ij)
-    return ExponentVec(tuple(out))
+    return tuple(out)
 
 
-def lowest_term(cd: CartanData, w: ReducedWord, i: int) -> ExponentVec:
+def lowest_term(cd: CartanData, w: ReducedWord, i: int) -> tuple[int, ...]:
     """t_J prod_{l>J} t_l^{a_{i_l, i}} with J the last position carrying letter i."""
     J = max(l for l in range(1, w.N + 1) if w.letter(l) == i)
     out = [0] * w.N
     out[J - 1] = 1
     for l in range(J + 1, w.N + 1):
         out[l - 1] = cd.a(w.letter(l), i)
-    return ExponentVec(tuple(out))
+    return tuple(out)

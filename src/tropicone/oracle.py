@@ -10,14 +10,15 @@ Two oracles, deliberately sharing nothing with the graph builder:
   only the minors on its fixed rows are carried through the word, each
   updated per letter by Cauchy-Binet. It also recovers the positive integer
   coefficients the graph never sees.
+
+Monomials are exponent tuples, as in the graph; a Laurent polynomial is a
+dict from exponent tuple to its nonzero integer coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .decograph import b_from_d, build_graph
-from .monomial import ExponentVec, render
+from .monomial import render
 from .rootsystem import (
     CartanData,
     NotMinuscule,
@@ -111,9 +112,9 @@ def _trails(cd: CartanData, w: ReducedWord, i: int) -> list[tuple[tuple[int, ...
     return out
 
 
-def minuscule_trail_monomials(cd: CartanData, w: ReducedWord, i: int) -> set[ExponentVec]:
+def minuscule_trail_monomials(cd: CartanData, w: ReducedWord, i: int) -> set[tuple[int, ...]]:
     """The monomial set read off from the trails alone."""
-    return {ExponentVec(ds) for _, ds in _trails(cd, w, i)}
+    return {ds for _, ds in _trails(cd, w, i)}
 
 
 def crosscheck_b_equals_c(cd: CartanData, w: ReducedWord, i: int) -> dict:
@@ -121,7 +122,7 @@ def crosscheck_b_equals_c(cd: CartanData, w: ReducedWord, i: int) -> dict:
     trails = _trails(cd, w, i)
     mismatches = []
     for cs, ds in trails:
-        b = b_from_d(cd, w, i, ExponentVec(ds))
+        b = b_from_d(cd, w, i, ds)
         if b != cs:
             mismatches.append({"d": list(ds), "c": list(cs), "b": list(b)})
     return {
@@ -133,34 +134,6 @@ def crosscheck_b_equals_c(cd: CartanData, w: ReducedWord, i: int) -> dict:
 
 
 # ---------------------------------------------------------------- type A minors
-
-
-@dataclass
-class LaurentPoly:
-    """A Laurent polynomial in t_1..t_N over the integers; zero terms never stored."""
-
-    N: int
-    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.N, out)
-
-    def neg(self) -> "LaurentPoly":
-        return LaurentPoly(self.N, {e: -c for e, c in self.terms.items()})
-
-    def support(self) -> set[ExponentVec]:
-        return {ExponentVec(e) for e in self.terms}
 
 
 # The 2x2 block [[t^-1, 0], [1, t]] of the factor x_{-m}(t) on columns
@@ -192,7 +165,7 @@ def _accumulate(out: dict, f: dict[int, int], poly: dict, k: int) -> None:
                 del out[e2]
 
 
-def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> LaurentPoly:
+def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> dict[tuple[int, ...], int]:
     """The minor on rows {n+2-i..n+1}, columns [1,i-1] u {i+1}, exactly.
 
     The matrix is the product over the word of the one-parameter factors,
@@ -203,8 +176,9 @@ def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> LaurentPoly:
     D_K(PF) = sum over J of D_J(P) * D_{J,K}(F): with the block [[a, b], [c, d]],
     a K holding p but not q becomes a*D_K + c*D_{K-p+q}, one holding q but not
     p becomes d*D_K + b*D_{K-q+p}, one holding both becomes (ad - bc)*D_K, and
-    one holding neither is unchanged. The result is normalized to positive
-    coefficients; a genuinely mixed-sign minor is a hard error.
+    one holding neither is unchanged. The result, {exponent tuple: coefficient},
+    is normalized to positive coefficients; a genuinely mixed-sign minor is a
+    hard error.
     """
     if cd.ctype.family != "A":
         raise NotTypeA(f"minor oracle needs type A, got {cd.ctype}")
@@ -236,10 +210,10 @@ def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> LaurentPoly:
                 _accumulate(new.setdefault(K, {}), f, poly, l - 1)
         minors = {K: poly for K, poly in new.items() if poly}
     cols = sum(1 << col for col in range(i - 1)) | 1 << i
-    minor = LaurentPoly(N, minors.get(cols, {}))
-    coeffs = list(minor.terms.values())
+    minor = minors.get(cols, {})
+    coeffs = list(minor.values())
     if coeffs and all(v < 0 for v in coeffs):
-        minor = minor.neg()
+        minor = {e: -c for e, c in minor.items()}
     elif any(v < 0 for v in coeffs):
         raise MixedSigns(f"minor for ({cd.ctype}, i={i}, word {w}) has mixed signs")
     return minor
@@ -254,14 +228,14 @@ def agreement_report(cd: CartanData, w: ReducedWord, i: int) -> dict:
     Type A gets the three-way comparison with coefficients; other types with
     a minuscule index get the trail comparison only.
     """
-    graph_set = set(build_graph(cd, w, i).vertices.keys())
+    graph_set = set(build_graph(cd, w, i).vertices)
     trail_set = minuscule_trail_monomials(cd, w, i) if i in minuscule_indices(cd) else None
     minor = typeA_minor_poly(cd, w, i) if cd.ctype.family == "A" else None
 
     oracle_set = None
     notes = []
     if minor is not None:
-        oracle_set = minor.support()
+        oracle_set = set(minor)
     if trail_set is not None:
         if oracle_set is None:
             oracle_set = trail_set
@@ -270,21 +244,19 @@ def agreement_report(cd: CartanData, w: ReducedWord, i: int) -> dict:
     if oracle_set is None:
         raise NotMinuscule(f"no oracle applies to ({cd.ctype}, i={i})")
 
-    missing = sorted(oracle_set - graph_set, key=lambda v: v.d)
-    extra = sorted(graph_set - oracle_set, key=lambda v: v.d)
+    missing = sorted(oracle_set - graph_set)
+    extra = sorted(graph_set - oracle_set)
     status = "pass" if not missing and not extra and not notes else "fail"
     report = {
         "input": {"type": str(cd.ctype), "word": list(w.letters), "i": i},
         "status": status,
         "graph_count": len(graph_set),
         "trail_count": len(trail_set) if trail_set is not None else None,
-        "minor_count": len(minor.terms) if minor is not None else None,
-        "missing_in_graph": [render(v) for v in missing],
-        "extra_in_graph": [render(v) for v in extra],
+        "minor_count": len(minor) if minor is not None else None,
+        "missing_in_graph": [render(d) for d in missing],
+        "extra_in_graph": [render(d) for d in extra],
         "coefficient_table": (
-            {render(ExponentVec(e)): c for e, c in sorted(minor.terms.items())}
-            if minor is not None
-            else None
+            {render(e): c for e, c in sorted(minor.items())} if minor is not None else None
         ),
         "notes": notes,
     }

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .decograph import build_graph
-from .monomial import ExponentVec
 from .rootsystem import CartanData, dual_cartan, positive_roots
 from .wordtools import ReducedWord
 
@@ -25,39 +24,34 @@ from .wordtools import ReducedWord
 class ConeSystem:
     cd: CartanData
     word: ReducedWord
-    rows: tuple[tuple[int, ExponentVec], ...]
+    # (i, exponent tuple d) per row
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def N(self) -> int:
         return self.word.N
 
 
-def half_potential_monomials(cd: CartanData, w: ReducedWord, force: bool = False) -> dict[int, list[ExponentVec]]:
+def half_potential_monomials(
+    cd: CartanData, w: ReducedWord, force: bool = False
+) -> dict[int, list[tuple[int, ...]]]:
     """For each index i, the monomial set of its summand, in creation order."""
     return {
-        i: list(build_graph(cd, w, i, force=force).vertices.keys())
+        i: list(build_graph(cd, w, i, force=force).vertices)
         for i in range(1, cd.n + 1)
     }
 
 
 def string_cone(cd: CartanData, w: ReducedWord, force: bool = False) -> ConeSystem:
     """One inequality row per monomial over all i, deduplicated, ordered by i then creation."""
-    rows: list[tuple[int, ExponentVec]] = []
-    seen: set[ExponentVec] = set()
+    rows: list[tuple[int, tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
     for i, monomials in half_potential_monomials(cd, w, force=force).items():
         for d in monomials:
             if d not in seen:
                 seen.add(d)
                 rows.append((i, d))
     return ConeSystem(cd, w, tuple(rows))
-
-
-def contains(cone: ConeSystem, z) -> bool:
-    """Whether the integer vector z satisfies every row."""
-    zt = tuple(z)
-    if len(zt) != cone.N:
-        raise ValueError(f"expected a vector of length {cone.N}, got {len(zt)}")
-    return all(sum(c * x for c, x in zip(row.d, zt)) >= 0 for _, row in cone.rows)
 
 
 def _class_tuples(size: int, total: int, bound: int) -> list[tuple[int, ...]]:
@@ -120,7 +114,7 @@ def weight_census(cone: ConeSystem, mvec) -> int:
     S = sum(mv)
     if S == 0:
         return 1
-    row_mat = np.array([row.d for _, row in cone.rows], dtype=np.int64).reshape(-1, N)
+    row_mat = np.array([row for _, row in cone.rows], dtype=np.int64).reshape(-1, N)
 
     letters = np.array(w.letters)
     contribs = []
@@ -193,9 +187,9 @@ def dual_kostant_count(cd: CartanData, mvec) -> int:
     return count(0, target)
 
 
-def _row_text(row: ExponentVec, sep: str = "") -> str:
+def _row_text(row: tuple[int, ...]) -> str:
     terms = []
-    for l, c in enumerate(row.d, start=1):
+    for l, c in enumerate(row, start=1):
         if c == 0:
             continue
         mag = abs(c)
@@ -226,5 +220,5 @@ def to_json_dict(cone: ConeSystem) -> dict:
         "type": str(cone.cd.ctype),
         "rank": cone.cd.n,
         "word": list(cone.word.letters),
-        "rows": [{"i": i, "coeffs": list(row.d)} for i, row in cone.rows],
+        "rows": [{"i": i, "coeffs": list(row)} for i, row in cone.rows],
     }

@@ -122,15 +122,6 @@ def j_plus(w: ReducedWord, j: int) -> int:
     return w.jplus[j - 1]
 
 
-def j_minus(w: ReducedWord, j: int) -> int:
-    """Previous position before j with the same letter; 0 when there is none."""
-    letter = w.letters[j - 1]
-    for l in range(j - 1, 0, -1):
-        if w.letters[l - 1] == letter:
-            return l
-    return 0
-
-
 def enumerate_w0_words(cd: CartanData, limit: int = 100000):
     """Yield every reduced word of w0 in lexicographic order.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,27 @@ from tropicone import cli
 from tropicone.cli import main
 
 C3_ARGS = ["--type", "C3", "--word", "2,3,2,1,2,3,2,3,1"]
+D4_ARGS = ["--type", "D4", "--word", "2,1,3,2,4,2,3,2,1,2,3,4"]
+G2_ARGS = ["--type", "G2", "--word", "1,2,1,2,1,2"]
 F4_WORD = "1,2,1,3,2,1,3,2,3,4,3,2,1,3,2,3,4,3,2,1,3,2,3,4"
+
+# sha256 of the default output bytes: any change to what the CLI prints,
+# however small, fails here
+GOLDEN = [
+    (["graph", *C3_ARGS, "--format", "json"], "4416f979a6ba975ee33fde8ea7ab628cf0afeb2e4714dac0fbb8bba1e8c083f9"),
+    (["graph", *C3_ARGS, "--i", "2", "--format", "dot"], "1262f749058491f7b360e15e7545caf40fc424d4ed0d89fb87210b33d3cd865e"),
+    (["cone", *C3_ARGS], "15be621e1edfb3e6a24f6183e788ef84e8c635cc7b5779e1c45449d4e4cd88ed"),
+    (["cone", *C3_ARGS, "--format", "latex"], "aff343227e0df486fe49adeae0bed644165a507561aacc82935f28fe9d0d6417"),
+    (["cone", *C3_ARGS, "--format", "json"], "0d6e9a9a91de09fe3aeecbb6c9e56a3ece1c05afa4119e4ac0eae2d509626358"),
+    (["check", *C3_ARGS], "0335d66cb356bdc652585e34b1ceb5c79ac73552f31f22de75f11ec1dee8078b"),
+    (["cone", *D4_ARGS], "668d9ce96bd370ec69af32b4d10285e419a42e72e5544b00effdf01614404d6e"),
+    (["check", *D4_ARGS], "9a2787d395680931019aedc215b5dceca6ec659aef8a27e6c69880f7aa64e881"),
+    (["graph", *G2_ARGS, "--format", "json"], "0e88fa1c150bb2546387d48411d0122332d20466a476ea1adc7550ce088bdc2c"),
+    (
+        ["graph", "--type", "F4", "--word", F4_WORD, "--i", "2", "--force", "--format", "json"],
+        "e30f6838256525692382111c8d6055d99986ec9126e054cc6e60a22427f8b495",
+    ),
+]
 
 
 def run(capsys, *argv):
@@ -142,11 +163,37 @@ def test_deterministic_output(capsys):
     assert one == two
 
 
+# ids: the command, the type and the flags after the word
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a[:1] + a[2:3] + a[5:]) for a, _ in GOLDEN])
+def test_output_matches_golden_digest(capsys, argv, digest):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "cone.txt"
     rc, out, _ = run(capsys, "cone", *C3_ARGS, "--out", str(target))
     assert rc == 0 and out == ""
     assert target.read_text().count(">= 0") == 14
+
+
+@pytest.mark.parametrize("target", ["existing_dir", "under_a_file/cone.txt"])
+def test_unwritable_out_exits_1(capsys, tmp_path, target):
+    (tmp_path / "existing_dir").mkdir()
+    (tmp_path / "under_a_file").write_text("a regular file\n")
+    path = tmp_path / target
+    rc, out, err = run(capsys, "cone", *C3_ARGS, "--out", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not list(tmp_path.rglob(".tropicone-*"))
+
+
+def test_parsed_flags_do_not_leak_between_calls(capsys):
+    rc, out, _ = run(capsys, "graph", *C3_ARGS, "--i", "1", "--fast-path", "--format", "json")
+    assert rc == 0 and json.loads(out)["meta"]["rule"] == "minuscule"
+    rc, out, _ = run(capsys, "graph", *C3_ARGS, "--i", "1", "--format", "json")
+    assert rc == 0 and json.loads(out)["meta"]["rule"] == "generic"
 
 
 def test_outdir_env(capsys, tmp_path, monkeypatch):

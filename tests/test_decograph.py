@@ -1,9 +1,10 @@
 import json
+from operator import sub
 
 import pytest
 
 from tropicone import decograph
-from tropicone.monomial import ExponentVec, a_monomial
+from tropicone.monomial import a_monomial, unit
 from tropicone.rootsystem import CartanType, NotMinuscule, cartan_matrix
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.decograph import (
@@ -13,11 +14,9 @@ from tropicone.decograph import (
     InvariantViolation,
     SupportStatus,
     UnsupportedIndex,
-    Vertex,
     b_from_d,
     build_graph,
     firing_labels,
-    firing_labels_minuscule,
     initial_vertex,
     supported,
     to_dot,
@@ -67,44 +66,33 @@ def test_error_hierarchy():
 
 
 def test_b_from_d_fixtures(c3, c3_word, d4, d4_word, g2, g2_word_a):
-    assert b_from_d(c3, c3_word, 2, ExponentVec.unit(9, 1)) == (0, 0, 1, 1, 0, 1, 2, 1, 1)
-    assert b_from_d(d4, d4_word, 2, ExponentVec.unit(12, 1)) == fx.D4_INITIAL_B
-    assert b_from_d(g2, g2_word_a, 1, ExponentVec.unit(6, 1)) == (0, 0, 1, 3, 2, 3)
+    assert b_from_d(c3, c3_word, 2, unit(9, 1)) == (0, 0, 1, 1, 0, 1, 2, 1, 1)
+    assert b_from_d(d4, d4_word, 2, unit(12, 1)) == fx.D4_INITIAL_B
+    assert b_from_d(g2, g2_word_a, 1, unit(6, 1)) == (0, 0, 1, 3, 2, 3)
     for mono, b in fx.C3_VERTICES:
         assert b_from_d(c3, c3_word, 2, ev(9, mono)) == b
 
 
 def test_initial_vertex(c3, c3_word, g2, g2_word_a):
-    v = initial_vertex(c3, c3_word, 2)
-    assert v.d == ExponentVec.unit(9, 1)
-    assert v.b == (0, 0, 1, 1, 0, 1, 2, 1, 1)
-    va = initial_vertex(g2, g2_word_a, 1)
-    assert va.d == ExponentVec.unit(6, 1)
-    assert va.b == (0, 0, 1, 3, 2, 3)
+    assert initial_vertex(c3, c3_word, 2) == (unit(9, 1), (0, 0, 1, 1, 0, 1, 2, 1, 1))
+    assert initial_vertex(g2, g2_word_a, 1) == (unit(6, 1), (0, 0, 1, 3, 2, 3))
 
 
 def test_firing_labels(c3, c3_word):
     g = build_graph(c3, c3_word, 2)
     # d_3 = d_5 = 1 with the (0,0)...(-1,1) chain at 3, and d_7 = -1 < d_5
-    v = g.vertices[ev(9, {3: 1, 5: 1, 7: -1})]
-    assert firing_labels(c3, c3_word, v) == [3, 5]
+    d = ev(9, {3: 1, 5: 1, 7: -1})
+    assert firing_labels(c3_word, d, g.vertices[d]) == [3, 5]
     # the sink fires nothing
-    sink = g.vertices[ev(9, fx.C3_SINK)]
-    assert firing_labels(c3, c3_word, sink) == []
-
-
-def graph_as_sets(g):
-    verts = {d: v.b for d, v in g.vertices.items()}
-    edges = set(g.edges)
-    return verts, edges
+    sink = ev(9, fx.C3_SINK)
+    assert firing_labels(c3_word, sink, g.vertices[sink]) == []
 
 
 def test_c3_graph_exact(c3, c3_word):
     g = build_graph(c3, c3_word, 2)
-    verts, edges = graph_as_sets(g)
-    assert verts == {ev(9, m): b for m, b in fx.C3_VERTICES}
-    assert edges == {(ev(9, s), j, ev(9, t)) for s, j, t in fx.C3_EDGES}
-    assert g.source == ExponentVec.unit(9, 1)
+    assert g.vertices == {ev(9, m): b for m, b in fx.C3_VERTICES}
+    assert set(g.edges) == {(ev(9, s), j, ev(9, t)) for s, j, t in fx.C3_EDGES}
+    assert g.source == unit(9, 1)
     assert g.sinks() == [ev(9, fx.C3_SINK)]
     assert g.status is SupportStatus.MINUSCULE_LIKE
     assert g.rule == "generic" and not g.forced and g.violations == []
@@ -113,7 +101,7 @@ def test_c3_graph_exact(c3, c3_word):
 def test_c3_singleton_graphs(c3, c3_word):
     for i, pos in [(1, 9), (3, 8)]:
         g = build_graph(c3, c3_word, i)
-        assert list(g.vertices) == [ExponentVec.unit(9, pos)]
+        assert list(g.vertices) == [unit(9, pos)]
         assert g.edges == []
 
 
@@ -123,34 +111,33 @@ def test_d4_graph_exact(d4, d4_word):
     assert set(g.vertices) == set(num.values())
     assert len(g.vertices) == 21 and len(g.edges) == 27
     assert set(g.edges) == {(num[s], j, num[t]) for s, j, t in fx.D4_EDGES}
-    assert g.vertices[num[1]].b == fx.D4_INITIAL_B
+    assert g.vertices[num[1]] == fx.D4_INITIAL_B
     # the lowest term is a sink but not the only one here: t_4*t_6/t_9 also fires nothing
     assert set(g.sinks()) == {num[8], ev(12, fx.D4_SINK)}
 
 
 def test_d4_other_indices(d4, d4_word):
     g1 = build_graph(d4, d4_word, 1)
-    assert set(g1.vertices) == {ExponentVec.unit(12, 8), ev(12, {9: 1, 10: -1})}
-    assert g1.edges == [(ExponentVec.unit(12, 8), 8, ev(12, {9: 1, 10: -1}))]
-    assert list(build_graph(d4, d4_word, 3).vertices) == [ExponentVec.unit(12, 11)]
-    assert list(build_graph(d4, d4_word, 4).vertices) == [ExponentVec.unit(12, 12)]
+    assert set(g1.vertices) == {unit(12, 8), ev(12, {9: 1, 10: -1})}
+    assert g1.edges == [(unit(12, 8), 8, ev(12, {9: 1, 10: -1}))]
+    assert list(build_graph(d4, d4_word, 3).vertices) == [unit(12, 11)]
+    assert list(build_graph(d4, d4_word, 4).vertices) == [unit(12, 12)]
 
 
 def test_g2_graph_word_a(g2, g2_word_a):
     g = build_graph(g2, g2_word_a, 1)
-    verts, _ = graph_as_sets(g)
-    assert verts == {ev(6, m): b for m, b in fx.G2A_VERTICES}
+    assert g.vertices == {ev(6, m): b for m, b in fx.G2A_VERTICES}
     pairs = {(s, t) for s, _, t in g.edges}
     assert pairs == {(ev(6, s), ev(6, t)) for s, t in fx.G2A_EDGE_PAIRS}
     assert g.sinks() == [ev(6, {5: 1, 6: -3})]
-    assert list(build_graph(g2, g2_word_a, 2).vertices) == [ExponentVec.unit(6, 6)]
+    assert list(build_graph(g2, g2_word_a, 2).vertices) == [unit(6, 6)]
 
 
 def test_g2_graph_word_b(g2, g2_word_b):
     g = build_graph(g2, g2_word_b, 2)
     assert g.edges == [(ev(6, s), j, ev(6, t)) for s, j, t in fx.G2B_CHAIN]
     assert len(g.vertices) == 6
-    assert list(build_graph(g2, g2_word_b, 1).vertices) == [ExponentVec.unit(6, 6)]
+    assert list(build_graph(g2, g2_word_b, 1).vertices) == [unit(6, 6)]
 
 
 def test_unsupported_requires_force():
@@ -169,9 +156,6 @@ def test_unsupported_requires_force():
 def test_minuscule_rule_gate(c3, c3_word):
     with pytest.raises(NotMinuscule):
         build_graph(c3, c3_word, 2, rule="minuscule")
-    v0 = initial_vertex(c3, c3_word, 2)
-    with pytest.raises(NotMinuscule):
-        firing_labels_minuscule(c3, c3_word, v0, 2)
     with pytest.raises(ValueError):
         build_graph(c3, c3_word, 2, rule="fast")
 
@@ -222,7 +206,7 @@ def test_corrupted_a_monomial_is_caught(c3, monkeypatch):
         a = real(cd, word, j)
         if j != 5:
             return a
-        return ExponentVec(a.d[:5] + (a.d[5] - 1,) + a.d[6:])
+        return a[:5] + (a[5] - 1,) + a[6:]
 
     monkeypatch.setattr(decograph, "a_monomial", corrupted)
     with pytest.raises(BUpdateMismatch, match="j=5"):
@@ -234,7 +218,7 @@ def test_corrupted_a_monomial_is_caught(c3, monkeypatch):
 def test_verify_graph_catches_altered_b(c3, c3_word):
     g = build_graph(c3, c3_word, 2)
     d = ev(9, fx.C3_SINK)
-    g.vertices[d] = Vertex(d, (1, 1, 1, 2, 1, 1, 0, 1, 0))
+    g.vertices[d] = (1, 1, 1, 2, 1, 1, 0, 1, 0)
     failed = {c["name"] for c in verify_graph(g)["checks"] if c["status"] == "fail"}
     assert "b_matches_recursion" in failed
 
@@ -242,14 +226,14 @@ def test_verify_graph_catches_altered_b(c3, c3_word):
 def test_verify_graph_flags_closed_gate(c3, c3_word):
     # firing 3 at the source has b_5 = 0: not an edge of the graph
     g = build_graph(c3, c3_word, 2)
-    v0 = g.vertices[g.source]
-    assert v0.b[4] == 0
-    d2 = v0.d.div(a_monomial(c3, c3_word, 3))
-    shifted = list(v0.b)
+    d0, b0 = g.source, g.vertices[g.source]
+    assert b0[4] == 0
+    d2 = tuple(map(sub, d0, a_monomial(c3, c3_word, 3)))
+    shifted = list(b0)
     shifted[2] += 1
     shifted[4] -= 1
-    g.vertices[d2] = Vertex(d2, tuple(shifted))
-    g.edges.append((v0.d, 3, d2))
+    g.vertices[d2] = tuple(shifted)
+    g.edges.append((d0, 3, d2))
     failed = {c["name"] for c in verify_graph(g)["checks"] if c["status"] == "fail"}
     assert "edge_gate_b_positive" in failed
     assert "b_update_on_edges" not in failed and "b_matches_recursion" not in failed

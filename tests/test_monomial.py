@@ -1,35 +1,28 @@
+from operator import sub
+
 import pytest
 
-from tropicone.monomial import ExponentVec, NoNextOccurrence, a_monomial, lowest_term, render
+from tropicone.monomial import NoNextOccurrence, a_monomial, lowest_term, render, unit
 
 import fixture_data as fx
 from fixture_data import ev
 
 
 def test_unit_zero_exp():
-    u = ExponentVec.unit(9, 3)
-    assert u.exp(3) == 1
-    assert sum(abs(x) for x in u.d) == 1
-    assert ExponentVec.zero(4).d == (0, 0, 0, 0)
-
-
-def test_mul_div():
-    x = ev(4, {1: 1, 3: -2})
-    y = ev(4, {3: 2, 4: 1})
-    assert (x * y).d == (1, 0, 0, 1)
-    assert (x / y).d == (1, 0, -4, -1)
-    assert ((x * y) / y) == x
+    u = unit(9, 3)
+    assert u[2] == 1
+    assert sum(abs(x) for x in u) == 1
+    assert u == ev(9, {3: 1})
 
 
 def test_render_forms():
-    assert render(ExponentVec.zero(3)) == "1"
+    assert render((0, 0, 0)) == "1"
     assert render(ev(9, {1: 1})) == "t_1"
     assert render(ev(9, {2: 1, 3: -1})) == "t_2/t_3"
     assert render(ev(9, {3: 1, 5: 2, 6: -1})) == "t_3*t_5^2/t_6"
     assert render(ev(9, {7: 1, 8: -1, 9: -1})) == "t_7/(t_8*t_9)"
     assert render(ev(6, {5: 1, 6: -3})) == "t_5/t_6^3"
     assert render(ev(4, {2: -1})) == "1/t_2"
-    assert str(ev(9, {1: 1})) == "t_1"
 
 
 def test_a_monomial_c3(c3, c3_word):
@@ -52,14 +45,14 @@ def test_a_monomial_no_next(c3, c3_word):
 
 def test_edges_divide_by_a_monomials(c3, c3_word):
     for src, j, dst in fx.C3_EDGES:
-        lhs = ev(9, src) / a_monomial(c3, c3_word, j)
+        lhs = tuple(map(sub, ev(9, src), a_monomial(c3, c3_word, j)))
         assert lhs == ev(9, dst)
 
 
 def test_lowest_term(c3, c3_word, d4, d4_word, g2, g2_word_a):
     assert lowest_term(c3, c3_word, 2) == ev(9, {7: 1, 8: -1, 9: -1})
-    assert lowest_term(c3, c3_word, 1) == ExponentVec.unit(9, 9)
-    assert lowest_term(c3, c3_word, 3) == ExponentVec.unit(9, 8)
+    assert lowest_term(c3, c3_word, 1) == unit(9, 9)
+    assert lowest_term(c3, c3_word, 3) == unit(9, 8)
     assert lowest_term(d4, d4_word, 2) == ev(12, fx.D4_SINK)
     assert lowest_term(g2, g2_word_a, 1) == ev(6, {5: 1, 6: -3})
-    assert lowest_term(g2, g2_word_a, 2) == ExponentVec.unit(6, 6)
+    assert lowest_term(g2, g2_word_a, 2) == unit(6, 6)

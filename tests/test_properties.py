@@ -1,5 +1,7 @@
 """Randomized structural checks, drawn from pools of enumerated words."""
 
+from operator import sub
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -12,8 +14,8 @@ from tropicone.rootsystem import (
     reflect,
     reflect_root,
 )
-from tropicone.wordtools import enumerate_w0_words, j_minus, j_plus
-from tropicone.monomial import ExponentVec, a_monomial
+from tropicone.wordtools import enumerate_w0_words, j_plus
+from tropicone.monomial import a_monomial
 from tropicone.decograph import b_from_d, build_graph, verify_graph
 from tropicone.stringcone import dual_kostant_count, string_cone, weight_census, weights_up_to
 
@@ -52,14 +54,6 @@ def test_reflect_root_is_an_involution(args):
     assert reflect_root(cd, j, reflect_root(cd, j, beta)) == beta
 
 
-@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=12))
-def test_mul_div_roundtrip(pairs):
-    x = ExponentVec(tuple(p[0] for p in pairs))
-    y = ExponentVec(tuple(p[1] for p in pairs))
-    assert (x * y) / y == x
-    assert (x / y) * y == x
-
-
 @st.composite
 def word_and_position(draw):
     cd, w = draw(st.sampled_from(WORD_POOL))
@@ -72,17 +66,9 @@ def test_a_monomial_shape(args):
     cd, w, j = args
     jp = j_plus(w, j)
     a = a_monomial(cd, w, j)
-    assert a.exp(j) == 1 and a.exp(jp) == 1
-    assert all(a.exp(l) <= 0 for l in range(j + 1, jp))
-    assert all(a.exp(l) == 0 for l in list(range(1, j)) + list(range(jp + 1, w.N + 1)))
-
-
-@given(word_and_position())
-def test_j_plus_and_j_minus_invert(args):
-    _, w, j = args
-    assert j_minus(w, j_plus(w, j)) == j
-    if j_minus(w, j) >= 1:
-        assert j_plus(w, j_minus(w, j)) == j
+    assert a[j - 1] == 1 and a[jp - 1] == 1
+    assert all(a[l - 1] <= 0 for l in range(j + 1, jp))
+    assert all(a[l - 1] == 0 for l in list(range(1, j)) + list(range(jp + 1, w.N + 1)))
 
 
 @st.composite
@@ -111,7 +97,7 @@ def test_jplus_table_matches_scan(pair):
 def word_index_and_monomial(draw):
     cd, w, i = draw(word_and_index())
     d = draw(st.lists(st.integers(-3, 3), min_size=w.N, max_size=w.N))
-    return cd, w, i, ExponentVec(tuple(d))
+    return cd, w, i, tuple(d)
 
 
 @settings(max_examples=50)
@@ -128,7 +114,7 @@ def test_b_shift_identity_holds_at_every_monomial(args):
         shifted = list(b)
         shifted[j - 1] += 1
         shifted[jp - 1] -= 1
-        assert b_from_d(cd, w, i, d.div(a_monomial(cd, w, j))) == tuple(shifted), j
+        assert b_from_d(cd, w, i, tuple(map(sub, d, a_monomial(cd, w, j)))) == tuple(shifted), j
 
 
 @st.composite
@@ -143,7 +129,7 @@ def test_generic_rule_builds_the_minuscule_graph(args):
     cd, w, i = args
     g = build_graph(cd, w, i)
     f = build_graph(cd, w, i, rule="minuscule")
-    assert list(g.vertices.values()) == list(f.vertices.values())
+    assert list(g.vertices.items()) == list(f.vertices.items())
     assert g.edges == f.edges
 
 

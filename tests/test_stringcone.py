@@ -2,11 +2,10 @@ import json
 
 import pytest
 
-from tropicone.monomial import ExponentVec
+from tropicone.monomial import unit
 from tropicone.rootsystem import CartanType, cartan_matrix
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.stringcone import (
-    contains,
     dual_kostant_count,
     half_potential_monomials,
     render,
@@ -23,9 +22,9 @@ from fixture_data import ev
 def test_half_potential_monomials_c3(c3, c3_word):
     mons = half_potential_monomials(c3, c3_word)
     assert set(mons) == {1, 2, 3}
-    assert mons[1] == [ExponentVec.unit(9, 9)]
-    assert mons[3] == [ExponentVec.unit(9, 8)]
-    assert mons[2][0] == ExponentVec.unit(9, 1)
+    assert mons[1] == [unit(9, 9)]
+    assert mons[3] == [unit(9, 8)]
+    assert mons[2][0] == unit(9, 1)
     assert set(mons[2]) == {ev(9, m) for m, _ in fx.C3_VERTICES}
 
 
@@ -51,15 +50,6 @@ def test_string_cone_d4(d4, d4_word):
     assert set(by_i[2]) == {ev(12, m) for m in fx.D4_MONOMIALS.values()}
     # ordered by index, each block contiguous
     assert [i for i, _ in cone.rows] == sorted(i for i, _ in cone.rows)
-
-
-def test_contains(c3, c3_word):
-    cone = string_cone(c3, c3_word)
-    assert contains(cone, (0,) * 9)
-    assert contains(cone, tuple(ExponentVec.unit(9, 1).d))
-    assert not contains(cone, tuple((-ExponentVec.unit(9, 9).d[l]) for l in range(9)))
-    # t_2/t_3 as a point: row z_2 - z_3 gives 2 >= 0, but z_3 >= ... rows fail
-    assert not contains(cone, (0, 0, -1, 0, 0, 0, 0, 0, 0))
 
 
 def test_census_zero_weight(c3, c3_word):

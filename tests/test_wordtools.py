@@ -7,7 +7,6 @@ from tropicone.wordtools import (
     WordError,
     WrongLength,
     enumerate_w0_words,
-    j_minus,
     j_plus,
     parse_word,
     source_index,
@@ -73,17 +72,13 @@ def test_source_index(c3, c3_word, d4_word, g2_word_a, g2_word_b):
     assert source_index(g2_word_b, 1) == 6
 
 
-def test_j_plus_and_j_minus(c3_word):
+def test_j_plus(c3_word):
     # letters: 2 3 2 1 2 3 2 3 1
     assert j_plus(c3_word, 1) == 3
     assert j_plus(c3_word, 2) == 6
     assert j_plus(c3_word, 4) == 9
     assert j_plus(c3_word, 8) == 10  # sentinel N+1
     assert j_plus(c3_word, 9) == 10
-    assert j_minus(c3_word, 3) == 1
-    assert j_minus(c3_word, 9) == 4
-    assert j_minus(c3_word, 1) == 0  # sentinel 0
-    assert j_minus(c3_word, 4) == 0
 
 
 @pytest.mark.parametrize("name,count", [("A2", 2), ("G2", 2), ("A3", 16), ("B3", 42), ("C3", 42)])
