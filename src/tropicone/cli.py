@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: graph, cone, check, oracle. Exit codes: 0 success, 1 bad
-input, a failed check, running out of memory or an output path that cannot
-be written, 2 unsupported index without --force, 3 internal assertion
-failure.
+input (an index outside [1, n] included), a failed check, the vertex cap of
+a graph build, running out of memory or an output path that cannot be
+written, 2 unsupported index without --force, 3 internal assertion failure.
 Identical invocations produce byte-identical output; files are written
 atomically next to their final path.
 """
@@ -18,9 +18,9 @@ import sys
 import tempfile
 
 from . import decograph, oracle, stringcone
-from .decograph import GraphError, UnsupportedIndex, build_graph, to_dot, to_json
+from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_graph, to_dot, to_json
 from .oracle import MixedSigns, NotTypeA
-from .rootsystem import CartanType, RootSystemError, cartan_matrix, minuscule_indices
+from .rootsystem import CartanType, RootSystemError, cartan_matrix
 from .stringcone import dual_kostant_count, string_cone, weight_census, weights_up_to
 from .wordtools import LimitExceeded, WordError, enumerate_w0_words, parse_word
 
@@ -63,9 +63,8 @@ def _json_text(payload: dict) -> str:
 
 def cmd_graph(args) -> int:
     cd, w = _load(args.type, args.word)
-    rule = "minuscule" if args.fast_path else "generic"
     if args.i is not None:
-        g = build_graph(cd, w, args.i, force=args.force, rule=rule)
+        g = build_graph(cd, w, args.i, force=args.force)
         text = to_dot(g) if args.format == "dot" else to_json(g)
     else:
         if args.format == "dot":
@@ -75,7 +74,7 @@ def cmd_graph(args) -> int:
             "type": str(cd.ctype),
             "word": list(w.letters),
             "graphs": [
-                decograph.to_json_dict(build_graph(cd, w, i, force=args.force, rule=rule))
+                decograph.to_json_dict(build_graph(cd, w, i, force=args.force))
                 for i in range(1, cd.n + 1)
             ],
         }
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(g)
     g.add_argument("--i", type=int, default=None, help="index; omit for a JSON bundle of all")
     g.add_argument("--format", choices=("dot", "json"), default="dot")
-    g.add_argument("--fast-path", action="store_true", help="use the minuscule firing rule")
     g.set_defaults(func=cmd_graph)
 
     c = sub.add_parser("cone", help="emit the full inequality system")
@@ -214,12 +212,12 @@ def main(argv=None) -> int:
     except UnsupportedIndex as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (VertexCapExceeded, RootSystemError, WordError, NotTypeA, LimitExceeded, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (GraphError, MixedSigns, AssertionError) as e:
         print(f"internal assertion failed: {e}", file=sys.stderr)
         return 3
-    except (RootSystemError, WordError, NotTypeA, LimitExceeded, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except MemoryError:
         print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 1

@@ -3,12 +3,16 @@
 Vertices are Laurent monomials in t_1..t_N, exponent tuples d, each mapped
 to its b integer tuple; edges divide by an A_j monomial, that is subtract its
 exponents. Construction starts from the single all-nonnegative monomial t_k
-and repeatedly fires the arrow conditions:
+and repeatedly fires the paper's one arrow rule:
 
   a position j fires when j+ <= N, d_j > 0, b_{j+} > 0 and either
     (a) d_{j+} < d_j, or
     (b) d_{j+} = d_j and the chain j^{2+}, j^{3+}, ... shows the pattern
         (d, b) = (0, 0) until it terminates in (d, b) = (-1, 1).
+
+It is proven for every i whose weights of V(-w0 Lambda_i) pair with every h_t
+inside {-2, ..., 2}. On minuscule i it reduces to d_j = 1, d_{j+} != 1, a
+predicate that verify_graph checks finished graphs against.
 
 Each fire produces d' = d / A_j and b' = b with +1 at j and -1 at j+. The b
 recursion is affine in d with a linear part that depends on the word alone,
@@ -33,8 +37,10 @@ from .monomial import a_monomial, lowest_term, render, unit
 from .rootsystem import (
     CartanData,
     CartanType,
-    NotMinuscule,
+    RootSystemError,
+    cartan_matrix,
     fundamental_weight,
+    max_coroot_coefficients,
     minuscule_indices,
     reflect,
 )
@@ -53,8 +59,8 @@ class BUpdateMismatch(GraphError):
     """The b shift of a firing, or a merged b, disagrees with the b recursion."""
 
 
-class InvariantViolation(GraphError):
-    """A structural invariant (edge gate, L drop, b sign) failed."""
+class VertexCapExceeded(GraphError):
+    """The build reached its vertex cap: a resource limit, not a failed invariant."""
 
 
 class UnsupportedIndex(RuntimeError):
@@ -67,21 +73,17 @@ class SupportStatus(Enum):
     UNPROVEN = "unproven"
 
 
-# Indices with a proven monomial-set description, per exceptional family.
-_EXCEPTIONAL_OK = {
-    "E6": frozenset({1, 2, 4, 5, 6}),
-    "E7": frozenset({1, 5, 6, 7}),
-    "E8": frozenset({1, 7}),
-    "F4": frozenset({1, 4}),
-}
-
-
 def supported(ctype: CartanType, i: int) -> SupportStatus:
+    """Whether the paper proves the monomial description for (ctype, i).
+
+    G2 is proven on its own; otherwise the proof needs every weight of
+    V(-w0 Lambda_i) to pair with every h_t inside {-2, ..., 2}.
+    """
+    if not 1 <= i <= ctype.rank:
+        raise RootSystemError(f"index {i} out of [1, {ctype.rank}]")
     if ctype.family == "G":
         return SupportStatus.G2_PROVEN
-    if ctype.family in "ABCD":
-        return SupportStatus.MINUSCULE_LIKE
-    if i in _EXCEPTIONAL_OK.get(str(ctype), frozenset()):
+    if max_coroot_coefficients(cartan_matrix(ctype))[i - 1] <= 2:
         return SupportStatus.MINUSCULE_LIKE
     return SupportStatus.UNPROVEN
 
@@ -96,7 +98,6 @@ class DecoGraph:
     edges: list[tuple[tuple[int, ...], int, tuple[int, ...]]]
     source: tuple[int, ...]
     status: SupportStatus
-    rule: str
     forced: bool = False
     violations: list[str] = field(default_factory=list)
 
@@ -174,7 +175,7 @@ def _condition_b(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...], j: int)
 
 
 def firing_labels(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """All positions that fire from (d, b) under the generic rule, ascending."""
+    """All positions that fire from (d, b), ascending."""
     N = w.N
     out = []
     for j, jp in enumerate(w.jplus, start=1):
@@ -190,7 +191,7 @@ def firing_labels(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...]) -> lis
 
 
 def firing_labels_minuscule(w: ReducedWord, d: tuple[int, ...]) -> list[int]:
-    """The fast rule d_j = 1, d_{j+} != 1; only valid on minuscule (type, i)."""
+    """The minuscule rule d_j = 1, d_{j+} != 1; equals firing_labels on minuscule (type, i)."""
     N = w.N
     return [j for j, jp in enumerate(w.jplus, start=1) if jp <= N and d[j - 1] == 1 and d[jp - 1] != 1]
 
@@ -230,7 +231,6 @@ def build_graph(
     w: ReducedWord,
     i: int,
     force: bool = False,
-    rule: str = "generic",
     max_vertices: int = 100000,
 ) -> DecoGraph:
     """Worklist construction of the whole monomial graph for one index i.
@@ -239,22 +239,17 @@ def build_graph(
     the b update proven once per word by the affine argument (_firing_table),
     an edge is a subtraction by the cached A_j, the shift of b at j and j+,
     and on a merge a comparison with the stored b; verify_graph still
-    recomputes b from the recursion at every vertex. The minuscule rule also
-    checks the gate b_(j+) > 0, a firing condition of the generic rule. For
-    inputs without a proven description (status Unproven, reachable only
-    with force=True) a failed gate or merge goes to graph.violations instead
-    of raising, since there is no theorem to contradict.
+    recomputes b from the recursion at every vertex. For inputs without a
+    proven description (status Unproven, reachable only with force=True) a
+    merge mismatch goes to graph.violations instead of raising, since there
+    is no theorem to contradict. Reaching max_vertices raises
+    VertexCapExceeded.
     """
-    if rule not in ("generic", "minuscule"):
-        raise ValueError(f"unknown rule {rule!r}")
     status = supported(cd.ctype, i)
     if status is SupportStatus.UNPROVEN and not force:
         raise UnsupportedIndex(
             f"no proven monomial description for ({cd.ctype}, i={i}); use force to build anyway"
         )
-    minuscule = rule == "minuscule"
-    if minuscule and i not in minuscule_indices(cd):
-        raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
 
     d0, b0 = initial_vertex(cd, w, i)
     table = _firing_table(cd, w, i, d0, b0)
@@ -264,18 +259,11 @@ def build_graph(
     violations: list[str] = []
     queue = deque([d0])
 
-    def problem(cls: type[GraphError], msg: str) -> None:
-        if status is not SupportStatus.UNPROVEN:
-            raise cls(msg)
-        violations.append(msg)
-
     while queue:
         d = queue.popleft()
         b = vertices[d]
-        for j in firing_labels_minuscule(w, d) if minuscule else firing_labels(w, d, b):
+        for j in firing_labels(w, d, b):
             jp = jplus[j - 1]
-            if minuscule and b[jp - 1] <= 0:
-                problem(InvariantViolation, f"edge ({render(d)}, {j}) with b_(j+) <= 0")
             d2 = tuple(map(sub, d, table[j - 1]))
             b2 = list(b)
             b2[j - 1] += 1
@@ -284,11 +272,14 @@ def build_graph(
             known = vertices.get(d2)
             if known is None:
                 if len(vertices) >= max_vertices:
-                    raise GraphError(f"vertex cap {max_vertices} hit; aborting")
+                    raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})")
                 vertices[d2] = b2
                 queue.append(d2)
             elif known != b2:
-                problem(BUpdateMismatch, f"merge at {render(d2)}: stored b {known}, incoming {b2}")
+                msg = f"merge at {render(d2)}: stored b {known}, incoming {b2}"
+                if status is not SupportStatus.UNPROVEN:
+                    raise BUpdateMismatch(msg)
+                violations.append(msg)
             edges.append((d, j, d2))
 
     return DecoGraph(
@@ -299,7 +290,6 @@ def build_graph(
         edges=edges,
         source=d0,
         status=status,
-        rule=rule,
         forced=force,
         violations=violations,
     )
@@ -320,9 +310,9 @@ def verify_graph(g: DecoGraph) -> dict:
     def add(name: str, ok: bool, details: str = "") -> None:
         checks.append({"name": name, "status": "pass" if ok else "fail", "details": details})
 
-    k = source_index(w, i)
+    source = unit(w.N, source_index(w, i))
     nonneg = [d for d in g.vertices if all(e >= 0 for e in d)]
-    ok = nonneg == [g.source] and g.source == unit(w.N, k)
+    ok = nonneg == [g.source] and g.source == source
     add("unique_nonnegative_source", ok, f"nonnegative vertices: {[render(d) for d in nonneg]}")
 
     lt = lowest_term(cd, w, i)
@@ -362,9 +352,12 @@ def verify_graph(g: DecoGraph) -> dict:
     add("b_matches_recursion", not bad_rec, f"{len(bad_rec)} vertices")
 
     if i in minuscule_indices(cd):
-        fast = build_graph(cd, w, i, rule="minuscule")
-        same = set(fast.vertices) == set(g.vertices) and set(fast.edges) == set(g.edges)
-        add("minuscule_rule_equivalent", same, "")
+        # Every division by A_j lowers L by j+ - j, so these edges and vertices
+        # form exactly the closure of the source under the minuscule rule.
+        fired = {(d, j) for d in g.vertices for j in firing_labels_minuscule(w, d)}
+        reached = {source} | {dst for _, _, dst in g.edges}
+        same = {(src, j) for src, j, _ in g.edges} == fired and set(g.vertices) == reached
+        add("minuscule_rule_equivalent", same and not bad_div, "")
 
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {"checks": checks, "status": status}
@@ -390,7 +383,7 @@ def to_json_dict(g: DecoGraph) -> dict:
             "word": list(g.word.letters),
             "i": g.i,
             "support": g.status.value,
-            "rule": g.rule,
+            "rule": "generic",
             "forced": g.forced,
             "vertex_count": len(g.vertices),
             "edge_count": len(g.edges),

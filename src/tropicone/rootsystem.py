@@ -212,16 +212,20 @@ def positive_roots(cd: CartanData) -> frozenset[RootVec]:
 
 
 @lru_cache(maxsize=None)
+def max_coroot_coefficients(cd: CartanData) -> tuple[int, ...]:
+    """Entry i-1: the largest alpha_i^vee coefficient of a positive coroot.
+
+    That is max |<h_t, mu>| over t and the weights mu of V(-w0 Lambda_i), whose
+    extremal weights -W Lambda_i pair with h_t as Lambda_i with the coroots.
+    """
+    dual_roots = positive_roots(dual_cartan(cd))
+    return tuple(max(r.coords[t] for r in dual_roots) for t in range(cd.n))
+
+
+@lru_cache(maxsize=None)
 def minuscule_indices(cd: CartanData) -> frozenset[int]:
     """Indices i whose fundamental representation is minuscule.
 
-    Criterion: every positive coroot pairs with Lambda_i in {0, 1}, i.e. every
-    positive root of the dual (transposed) matrix has alpha_i-coefficient at
-    most 1.
+    Criterion: every positive coroot pairs with Lambda_i in {0, 1}.
     """
-    dual_roots = positive_roots(dual_cartan(cd))
-    out = set()
-    for i in range(1, cd.n + 1):
-        if max(r.coords[i - 1] for r in dual_roots) <= 1:
-            out.add(i)
-    return frozenset(out)
+    return frozenset(i for i, top in enumerate(max_coroot_coefficients(cd), start=1) if top <= 1)

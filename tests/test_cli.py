@@ -1,15 +1,19 @@
+import functools
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from tropicone import cli
+from tropicone import cli, decograph
 from tropicone.cli import main
 
 C3_ARGS = ["--type", "C3", "--word", "2,3,2,1,2,3,2,3,1"]
 D4_ARGS = ["--type", "D4", "--word", "2,1,3,2,4,2,3,2,1,2,3,4"]
 G2_ARGS = ["--type", "G2", "--word", "1,2,1,2,1,2"]
 F4_WORD = "1,2,1,3,2,1,3,2,3,4,3,2,1,3,2,3,4,3,2,1,3,2,3,4"
+E6_WORD = "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1,6,3,2,1,4,3,2,5,4,3,6,3,2,1,4,3,2,5,4,3,6"
 
 # sha256 of the default output bytes: any change to what the CLI prints,
 # however small, fails here
@@ -64,12 +68,6 @@ def test_graph_dot_requires_i(capsys):
     assert "--i" in err
 
 
-def test_graph_fast_path(capsys):
-    rc, out, _ = run(capsys, "graph", "--type", "C3", "--word", "2,3,2,1,2,3,2,3,1", "--i", "1", "--fast-path", "--format", "json")
-    assert rc == 0
-    assert json.loads(out)["meta"]["rule"] == "minuscule"
-
-
 def test_graph_unsupported_exit_code(capsys):
     rc, _, err = run(capsys, "graph", "--type", "F4", "--word", F4_WORD, "--i", "2")
     assert rc == 2
@@ -84,8 +82,18 @@ def test_bad_input_exit_codes(capsys):
     assert run(capsys, "graph", "--type", "C3", "--word", "2,2,2,1,2,3,2,3,1", "--i", "2")[0] == 1
     assert run(capsys, "graph", "--type", "C3", "--word", "2,3,2", "--i", "2")[0] == 1
     assert run(capsys, "cone", "--type", "C3", "--word", "2,3,2,1,2,3,2,3,x")[0] == 1
+    # an index outside [1, n] is bad input, not an unproven index
+    assert run(capsys, "graph", "--type", "E6", "--word", E6_WORD, "--i", "9") == (1, "", "error: index 9 out of [1, 6]\n")
+    assert run(capsys, "graph", "--type", "E6", "--word", E6_WORD, "--i", "0")[0] == 1
     rc, out, err = run(capsys, "oracle", "--type", "A3", "--word", "1,2,1,3,2,1", "--census-bound", "-1")
     assert (rc, out, err) == (1, "", "error: --census-bound must be nonnegative\n")
+
+
+def test_vertex_cap_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_graph", functools.partial(decograph.build_graph, max_vertices=5))
+    rc, out, err = run(capsys, "graph", *C3_ARGS, "--i", "2")
+    assert rc == 1 and out == ""
+    assert err == "error: vertex cap 5 hit building (C3, i=2)\n"
 
 
 def test_out_of_memory_exits_1(capsys, monkeypatch):
@@ -190,10 +198,18 @@ def test_unwritable_out_exits_1(capsys, tmp_path, target):
 
 
 def test_parsed_flags_do_not_leak_between_calls(capsys):
-    rc, out, _ = run(capsys, "graph", *C3_ARGS, "--i", "1", "--fast-path", "--format", "json")
-    assert rc == 0 and json.loads(out)["meta"]["rule"] == "minuscule"
-    rc, out, _ = run(capsys, "graph", *C3_ARGS, "--i", "1", "--format", "json")
-    assert rc == 0 and json.loads(out)["meta"]["rule"] == "generic"
+    argv = ["graph", "--type", "F4", "--word", F4_WORD, "--i", "2", "--format", "json"]
+    assert run(capsys, *argv, "--force")[0] == 0
+    assert run(capsys, *argv)[0] == 2
+
+
+def test_readme_command_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("tropicone ")]
+    assert commands
+    for argv in commands:
+        assert run(capsys, *argv[1:])[0] == 0, argv
 
 
 def test_outdir_env(capsys, tmp_path, monkeypatch):

@@ -5,18 +5,26 @@ import pytest
 
 from tropicone import decograph
 from tropicone.monomial import a_monomial, unit
-from tropicone.rootsystem import CartanType, NotMinuscule, cartan_matrix
+from tropicone.rootsystem import (
+    CartanType,
+    RootSystemError,
+    cartan_matrix,
+    fundamental_weight,
+    minuscule_indices,
+    reflect,
+)
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.decograph import (
     BUpdateMismatch,
     ClosedFormMismatch,
     GraphError,
-    InvariantViolation,
     SupportStatus,
     UnsupportedIndex,
+    VertexCapExceeded,
     b_from_d,
     build_graph,
     firing_labels,
+    firing_labels_minuscule,
     initial_vertex,
     supported,
     to_dot,
@@ -42,26 +50,51 @@ def test_supported_g2():
     assert supported(ct, 2) is SupportStatus.G2_PROVEN
 
 
-@pytest.mark.parametrize(
-    "name,ok",
-    [
-        ("E6", {1, 2, 4, 5, 6}),
-        ("E7", {1, 5, 6, 7}),
-        ("E8", {1, 7}),
-        ("F4", {1, 4}),
-    ],
-)
-def test_supported_exceptional(name, ok):
-    ct = CartanType.parse(name)
-    for i in range(1, ct.rank + 1):
-        expected = SupportStatus.MINUSCULE_LIKE if i in ok else SupportStatus.UNPROVEN
-        assert supported(ct, i) is expected
+def _orbit_max_pairing(cd, i):
+    """max |<h_t, mu>| over the Weyl orbit of Lambda_i, walked until it reaches 3.
+
+    The orbit holds the vertices of the weight polytope of V(Lambda_i), and
+    W(-w0 Lambda_i) = -W Lambda_i, so this is also the max over the weights
+    of V(-w0 Lambda_i).
+    """
+    start = fundamental_weight(cd.n, i)
+    seen, frontier, top = {start}, [start], 1
+    while frontier and top < 3:
+        lam = frontier.pop()
+        top = max(top, *(abs(c) for c in lam.coords))
+        for j in range(1, cd.n + 1):
+            mu = reflect(cd, j, lam)
+            if mu not in seen:
+                seen.add(mu)
+                frontier.append(mu)
+    return top
+
+
+TYPES_UP_TO_RANK_8 = [
+    f"{family}{n}" for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 9)
+] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", TYPES_UP_TO_RANK_8)
+def test_supported_matches_orbit_walk(name):
+    cd = cartan_matrix(CartanType.parse(name))
+    for i in range(1, cd.n + 1):
+        top = _orbit_max_pairing(cd, i)
+        if cd.ctype.family == "G":
+            expected = SupportStatus.G2_PROVEN
+        else:
+            expected = SupportStatus.MINUSCULE_LIKE if top <= 2 else SupportStatus.UNPROVEN
+        assert supported(cd.ctype, i) is expected, i
+        assert (i in minuscule_indices(cd)) == (top <= 1), i
+    for i in (0, cd.n + 1):
+        with pytest.raises(RootSystemError):
+            supported(cd.ctype, i)
 
 
 def test_error_hierarchy():
     assert issubclass(ClosedFormMismatch, GraphError)
     assert issubclass(BUpdateMismatch, GraphError)
-    assert issubclass(InvariantViolation, GraphError)
+    assert issubclass(VertexCapExceeded, GraphError)
     assert not issubclass(UnsupportedIndex, GraphError)
 
 
@@ -95,7 +128,7 @@ def test_c3_graph_exact(c3, c3_word):
     assert g.source == unit(9, 1)
     assert g.sinks() == [ev(9, fx.C3_SINK)]
     assert g.status is SupportStatus.MINUSCULE_LIKE
-    assert g.rule == "generic" and not g.forced and g.violations == []
+    assert not g.forced and g.violations == []
 
 
 def test_c3_singleton_graphs(c3, c3_word):
@@ -153,19 +186,11 @@ def test_unsupported_requires_force():
     assert not gs.forced and gs.violations == []
 
 
-def test_minuscule_rule_gate(c3, c3_word):
-    with pytest.raises(NotMinuscule):
-        build_graph(c3, c3_word, 2, rule="minuscule")
-    with pytest.raises(ValueError):
-        build_graph(c3, c3_word, 2, rule="fast")
-
-
-def test_minuscule_rule_matches_generic(c3, c3_word, b3):
-    for cd, w, i in [(c3, c3_word, 1), (b3, next(enumerate_w0_words(b3, limit=1)), 3)]:
+def test_minuscule_rule_matches_generic(c3, b3):
+    for cd, w, i in [(c3, validate_word(c3, fx.C3_WORD_ALT), 1), (b3, next(enumerate_w0_words(b3, limit=1)), 3)]:
         g = build_graph(cd, w, i)
-        f = build_graph(cd, w, i, rule="minuscule")
-        assert set(g.vertices) == set(f.vertices)
-        assert set(g.edges) == set(f.edges)
+        for d, b in g.vertices.items():
+            assert firing_labels_minuscule(w, d) == firing_labels(w, d, b), d
 
 
 def test_vertex_cap(c3, c3_word):
@@ -237,6 +262,38 @@ def test_verify_graph_flags_closed_gate(c3, c3_word):
     failed = {c["name"] for c in verify_graph(g)["checks"] if c["status"] == "fail"}
     assert "edge_gate_b_positive" in failed
     assert "b_update_on_edges" not in failed and "b_matches_recursion" not in failed
+
+
+def _tamper(g, how):
+    """One change to an honest graph that the minuscule closure rejects."""
+    w = g.word
+    d0 = g.source
+    firing = firing_labels(w, d0, g.vertices[d0])
+    j = next(j for j in range(1, w.N + 1) if w.jplus[j - 1] <= w.N and j not in firing)
+    extra = tuple(map(sub, d0, a_monomial(g.cd, w, j)))
+    assert extra not in g.vertices
+    if how == "drop_edge":
+        g.edges.pop()
+    if how in ("unreachable_vertex", "non_firing_edge"):
+        g.vertices[extra] = b_from_d(g.cd, w, g.i, extra)
+    if how == "non_firing_edge":
+        g.edges.append((d0, j, extra))
+
+
+@pytest.mark.parametrize("how", ["honest", "drop_edge", "unreachable_vertex", "non_firing_edge"])
+@pytest.mark.parametrize("name, letters", [("D4", fx.D4_WORD), ("C3", fx.C3_WORD_ALT)])
+def test_minuscule_rule_equivalent_verdicts(name, letters, how):
+    cd = cartan_matrix(CartanType.parse(name))
+    g = build_graph(cd, validate_word(cd, letters), 1)
+    assert g.edges
+    if how != "honest":
+        _tamper(g, how)
+    (check,) = [c for c in verify_graph(g)["checks"] if c["name"] == "minuscule_rule_equivalent"]
+    assert check == {
+        "name": "minuscule_rule_equivalent",
+        "status": "pass" if how == "honest" else "fail",
+        "details": "",
+    }
 
 
 def test_to_dot(c3, c3_word):
