@@ -31,7 +31,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import sub
+from operator import mul, sub
 
 from .monomial import a_monomial, lowest_term, render, unit
 from .rootsystem import (
@@ -68,7 +68,8 @@ class UnsupportedIndex(RuntimeError):
 
 
 class SupportStatus(Enum):
-    MINUSCULE_LIKE = "minuscule_like"
+    # proven by the pairing condition; the JSON value keeps its historical name
+    PAIRING_PROVEN = "minuscule_like"
     G2_PROVEN = "g2_proven"
     UNPROVEN = "unproven"
 
@@ -77,14 +78,15 @@ def supported(ctype: CartanType, i: int) -> SupportStatus:
     """Whether the paper proves the monomial description for (ctype, i).
 
     G2 is proven on its own; otherwise the proof needs every weight of
-    V(-w0 Lambda_i) to pair with every h_t inside {-2, ..., 2}.
+    V(-w0 Lambda_i) to pair with every h_t inside {-2, ..., 2}, which
+    PAIRING_PROVEN marks, minuscule or not.
     """
     if not 1 <= i <= ctype.rank:
         raise RootSystemError(f"index {i} out of [1, {ctype.rank}]")
     if ctype.family == "G":
         return SupportStatus.G2_PROVEN
     if max_coroot_coefficients(cartan_matrix(ctype))[i - 1] <= 2:
-        return SupportStatus.MINUSCULE_LIKE
+        return SupportStatus.PAIRING_PROVEN
     return SupportStatus.UNPROVEN
 
 
@@ -111,18 +113,17 @@ def b_from_d(cd: CartanData, w: ReducedWord, i: int, d: tuple[int, ...]) -> tupl
 
     b_N = d_N + <h_{i_N}, s_i Lambda_i> and, going down,
     b_t = d_t + <h_{i_t}, s_i Lambda_i> - sum_{l=t}^{N-1} b_{l+1} a_{i_t, i_{l+1}}.
+    The sum is grouped by letter: later[c] holds the sum of b_l over l > t
+    with i_l = c+1, so b_t = d_t + <h_{i_t}, s_i Lambda_i> - sum_c a_{i_t, c+1} later[c].
     """
-    N = w.N
     silam = reflect(cd, i, fundamental_weight(cd.n, i))
-    pair = [silam.pairing(w.letters[t0]) for t0 in range(N)]
-    b = [0] * N
-    b[N - 1] = d[N - 1] + pair[N - 1]
-    for t0 in range(N - 2, -1, -1):
-        row = cd.rows[w.letters[t0] - 1]
-        acc = 0
-        for l0 in range(t0 + 1, N):
-            acc += b[l0] * row[w.letters[l0] - 1]
-        b[t0] = d[t0] + pair[t0] - acc
+    later = [0] * cd.n
+    b = [0] * w.N
+    for t0 in range(w.N - 1, -1, -1):
+        c0 = w.letters[t0] - 1
+        bt = d[t0] + silam[c0] - sum(map(mul, cd.rows[c0], later))
+        b[t0] = bt
+        later[c0] += bt
     return tuple(b)
 
 
@@ -136,11 +137,11 @@ def _initial_b_closed_form(cd: CartanData, w: ReducedWord, i: int, k: int) -> tu
     out = [0] * N
     mu = reflect(cd, i, fundamental_weight(cd.n, i))
     for t in range(N, k, -1):
-        out[t - 1] = mu.pairing(w.letter(t))
+        out[t - 1] = mu[w.letter(t) - 1]
         mu = reflect(cd, w.letter(t), mu)
     nu = fundamental_weight(cd.n, i)
     for t in range(N, 0, -1):
-        val = nu.pairing(w.letter(t))
+        val = nu[w.letter(t) - 1]
         nu = reflect(cd, w.letter(t), nu)
         if t < k:
             out[t - 1] = val
@@ -331,7 +332,11 @@ def verify_graph(g: DecoGraph) -> dict:
     bad_l = []
     for src, j, dst in g.edges:
         jp = w.jplus[j - 1]
-        bs, bd = g.vertices[src], g.vertices[dst]
+        bs, bd = g.vertices.get(src), g.vertices.get(dst)
+        if bs is None or bd is None:
+            # an endpoint that is not a vertex carries no b to check
+            bad_b.append((render(src), j))
+            continue
         shifted = list(bs)
         shifted[j - 1] += 1
         shifted[jp - 1] -= 1

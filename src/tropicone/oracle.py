@@ -17,13 +17,14 @@ dict from exponent tuple to its nonzero integer coefficient.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .decograph import b_from_d, build_graph
 from .monomial import render
 from .rootsystem import (
     CartanData,
     NotMinuscule,
     RootSystemError,
-    WeightVec,
     fundamental_weight,
     minuscule_indices,
     reflect,
@@ -43,15 +44,15 @@ class MixedSigns(RuntimeError):
 # ---------------------------------------------------------------- trails
 
 
-def _minus_w0_lambda(cd: CartanData, w: ReducedWord, i: int) -> WeightVec:
+def _minus_w0_lambda(cd: CartanData, w: ReducedWord, i: int) -> tuple[int, ...]:
     """-w0 Lambda_i, with w0 taken from the word itself."""
     mu = fundamental_weight(cd.n, i)
     for l in range(w.N, 0, -1):
         mu = reflect(cd, w.letter(l), mu)
-    return -mu
+    return tuple(-x for x in mu)
 
 
-def _orbit(cd: CartanData, start: WeightVec) -> frozenset[WeightVec]:
+def _orbit(cd: CartanData, start: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     seen = {start}
     frontier = [start]
     while frontier:
@@ -64,7 +65,7 @@ def _orbit(cd: CartanData, start: WeightVec) -> frozenset[WeightVec]:
     return frozenset(seen)
 
 
-def minuscule_weight_diagram(cd: CartanData, w: ReducedWord, i: int) -> frozenset[WeightVec]:
+def minuscule_weight_diagram(cd: CartanData, w: ReducedWord, i: int) -> frozenset[tuple[int, ...]]:
     """The weight set of the minuscule representation with highest weight -w0 Lambda_i.
 
     A single Weyl orbit; every pairing with a coroot lands in {-1, 0, 1},
@@ -74,7 +75,7 @@ def minuscule_weight_diagram(cd: CartanData, w: ReducedWord, i: int) -> frozense
         raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
     weights = _orbit(cd, _minus_w0_lambda(cd, w, i))
     for mu in weights:
-        if any(abs(c) > 1 for c in mu.coords):
+        if any(abs(c) > 1 for c in mu):
             raise AssertionError(f"non-minuscule pairing in diagram for ({cd.ctype}, {i}): {mu}")
     return weights
 
@@ -86,24 +87,24 @@ def _trails(cd: CartanData, w: ReducedWord, i: int) -> list[tuple[tuple[int, ...
     gamma_k inside the weight diagram; d_k = <h_{i_k}, gamma_k> + c_k.
     """
     weights = minuscule_weight_diagram(cd, w, i)
-    target = -reflect(cd, i, fundamental_weight(cd.n, i))
+    target = tuple(-x for x in reflect(cd, i, fundamental_weight(cd.n, i)))
     alphas = {j: simple_root_weight(cd, j) for j in set(w.letters)}
     start = _minus_w0_lambda(cd, w, i)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     cs: list[int] = []
     ds: list[int] = []
 
-    def rec(k: int, gamma: WeightVec) -> None:
+    def rec(k: int, gamma: tuple[int, ...]) -> None:
         if k > w.N:
             if gamma == target:
                 out.append((tuple(cs), tuple(ds)))
             return
         letter = w.letter(k)
         for c in (0, 1):
-            nxt = gamma - alphas[letter] if c else gamma
+            nxt = tuple(map(sub, gamma, alphas[letter])) if c else gamma
             if nxt in weights:
                 cs.append(c)
-                ds.append(nxt.pairing(letter) + c)
+                ds.append(nxt[letter - 1] + c)
                 rec(k + 1, nxt)
                 cs.pop()
                 ds.pop()

@@ -4,8 +4,11 @@ Conventions, fixed once for the whole package:
 
 * the Cartan matrix is stored as ``a[i][j] = alpha_j(h_i)``, with 1-based
   indices in every public signature;
-* weights live in fundamental-weight coordinates, entry t is ``<h_t, lam>``;
-* roots live in simple-root coordinates, entry t is the coefficient of
+* weights and roots are plain integer tuples of length n, hashed and
+  compared as they are;
+* a weight lives in fundamental-weight coordinates, entry t-1 is
+  ``<h_t, lam>``;
+* a root lives in simple-root coordinates, entry t-1 is the coefficient of
   ``alpha_t``.
 
 Diagrams are numbered as in Kac's tables: A/B/C are chains 1..n with the
@@ -83,57 +86,23 @@ class CartanData:
         return self.rows[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class WeightVec:
-    """An integral weight in fundamental-weight coordinates."""
-
-    coords: tuple[int, ...]
-
-    def pairing(self, t: int) -> int:
-        """<h_t, lambda>, 1-based t."""
-        return self.coords[t - 1]
-
-    def __add__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(x + y for x, y in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(x - y for x, y in zip(self.coords, other.coords, strict=True)))
-
-    def __neg__(self) -> "WeightVec":
-        return WeightVec(tuple(-x for x in self.coords))
-
-
-@dataclass(frozen=True)
-class RootVec:
-    """A root in simple-root coordinates."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def is_positive(self) -> bool:
-        return any(self.coords) and all(c >= 0 for c in self.coords)
-
-    def __neg__(self) -> "RootVec":
-        return RootVec(tuple(-x for x in self.coords))
-
-
-def fundamental_weight(n: int, i: int) -> WeightVec:
-    """Lambda_i as a WeightVec of length n."""
+def fundamental_weight(n: int, i: int) -> tuple[int, ...]:
+    """Lambda_i as a weight of length n."""
     if not 1 <= i <= n:
         raise RootSystemError(f"index {i} out of [1, {n}]")
-    return WeightVec(tuple(1 if t == i - 1 else 0 for t in range(n)))
+    return tuple(1 if t == i - 1 else 0 for t in range(n))
 
 
-def simple_root(n: int, j: int) -> RootVec:
-    """alpha_j as a RootVec of length n."""
+def simple_root(n: int, j: int) -> tuple[int, ...]:
+    """alpha_j as a root of length n."""
     if not 1 <= j <= n:
         raise RootSystemError(f"index {j} out of [1, {n}]")
-    return RootVec(tuple(1 if t == j - 1 else 0 for t in range(n)))
+    return tuple(1 if t == j - 1 else 0 for t in range(n))
 
 
-def simple_root_weight(cd: CartanData, j: int) -> WeightVec:
+def simple_root_weight(cd: CartanData, j: int) -> tuple[int, ...]:
     """alpha_j written in fundamental-weight coordinates (column j of the Cartan matrix)."""
-    return WeightVec(tuple(cd.rows[t][j - 1] for t in range(cd.n)))
+    return tuple(cd.rows[t][j - 1] for t in range(cd.n))
 
 
 def _bonds(ctype: CartanType) -> list[tuple[int, int, int, int]]:
@@ -178,34 +147,35 @@ def dual_cartan(cd: CartanData) -> CartanData:
     return CartanData(cd.ctype, cd.n, tuple(zip(*cd.rows)))
 
 
-def reflect(cd: CartanData, j: int, lam: WeightVec) -> WeightVec:
+def reflect(cd: CartanData, j: int, lam: tuple[int, ...]) -> tuple[int, ...]:
     """s_j(lambda) = lambda - <h_j, lambda> alpha_j in fundamental coordinates."""
-    cj = lam.coords[j - 1]
+    cj = lam[j - 1]
     if cj == 0:
         return lam
-    return WeightVec(tuple(lam.coords[t] - cj * cd.rows[t][j - 1] for t in range(cd.n)))
+    return tuple(lam[t] - cj * cd.rows[t][j - 1] for t in range(cd.n))
 
 
-def reflect_root(cd: CartanData, j: int, beta: RootVec) -> RootVec:
+def reflect_root(cd: CartanData, j: int, beta: tuple[int, ...]) -> tuple[int, ...]:
     """s_j(beta) = beta - <h_j, beta> alpha_j in simple-root coordinates."""
-    pairing = sum(cd.rows[j - 1][t] * beta.coords[t] for t in range(cd.n))
+    pairing = sum(a * c for a, c in zip(cd.rows[j - 1], beta))
     if pairing == 0:
         return beta
-    out = list(beta.coords)
+    out = list(beta)
     out[j - 1] -= pairing
-    return RootVec(tuple(out))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def positive_roots(cd: CartanData) -> frozenset[RootVec]:
+def positive_roots(cd: CartanData) -> frozenset[tuple[int, ...]]:
     """All positive roots, as the reflection closure of the simple roots."""
-    roots: set[RootVec] = {simple_root(cd.n, j) for j in range(1, cd.n + 1)}
+    roots = {simple_root(cd.n, j) for j in range(1, cd.n + 1)}
     frontier = list(roots)
     while frontier:
         beta = frontier.pop()
         for j in range(1, cd.n + 1):
             img = reflect_root(cd, j, beta)
-            if img.is_positive and img not in roots:
+            # positive: nonzero with no negative coefficient
+            if any(img) and min(img) >= 0 and img not in roots:
                 roots.add(img)
                 frontier.append(img)
     return frozenset(roots)
@@ -218,8 +188,7 @@ def max_coroot_coefficients(cd: CartanData) -> tuple[int, ...]:
     That is max |<h_t, mu>| over t and the weights mu of V(-w0 Lambda_i), whose
     extremal weights -W Lambda_i pair with h_t as Lambda_i with the coroots.
     """
-    dual_roots = positive_roots(dual_cartan(cd))
-    return tuple(max(r.coords[t] for r in dual_roots) for t in range(cd.n))
+    return tuple(map(max, zip(*positive_roots(dual_cartan(cd)))))
 
 
 @lru_cache(maxsize=None)

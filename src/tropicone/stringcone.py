@@ -154,8 +154,7 @@ def weight_census(cone: ConeSystem, mvec) -> int:
 
 @lru_cache(maxsize=None)
 def _dual_positive_root_list(cd: CartanData) -> tuple[tuple[int, ...], ...]:
-    roots = sorted(r.coords for r in positive_roots(dual_cartan(cd)))
-    return tuple(roots)
+    return tuple(sorted(positive_roots(dual_cartan(cd))))
 
 
 def dual_kostant_count(cd: CartanData, mvec) -> int:

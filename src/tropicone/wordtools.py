@@ -3,22 +3,19 @@
 A word (i_1, ..., i_N) is validated through its beta sequence
 beta_k = s_{i_N} s_{i_N-1} ... s_{i_k+1} (alpha_{i_k}): the word is a reduced
 word of w0 exactly when N = |Phi+| and the beta_k are N pairwise distinct
-positive roots. The sequence is cached on the word because source_index and
-several downstream checks reuse it, and so is the table of next occurrences
-j -> j+ that every firing step reads.
+positive roots. The product M = s_{i_N} ... s_{i_k+1} is carried as its
+columns on simple-root coordinates from k = N down, so beta_k is column i_k
+of M and one column update per letter gives the next M; enumeration keeps
+the running product of a prefix the same way. The sequence is cached on the
+word because source_index and several downstream checks reuse it, and so is
+the table of next occurrences j -> j+ that every firing step reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootsystem import (
-    CartanData,
-    RootVec,
-    positive_roots,
-    reflect_root,
-    simple_root,
-)
+from .rootsystem import CartanData, positive_roots, simple_root
 
 
 class WordError(ValueError):
@@ -41,7 +38,7 @@ class LimitExceeded(RuntimeError):
 class ReducedWord:
     cd: CartanData
     letters: tuple[int, ...]
-    beta: tuple[RootVec, ...] = field(repr=False)
+    beta: tuple[tuple[int, ...], ...] = field(repr=False)
     # jplus[j-1] = j+, the next position with letter i_j, or N+1 when none
     jplus: tuple[int, ...] = field(repr=False, compare=False)
     # per-word facts other modules prove once and keep (see decograph)
@@ -59,16 +56,26 @@ class ReducedWord:
         return ",".join(str(x) for x in self.letters)
 
 
-def _beta_sequence(cd: CartanData, letters: tuple[int, ...]) -> tuple[RootVec, ...]:
-    N = len(letters)
+def _identity_columns(n: int) -> list[tuple[int, ...]]:
+    return [tuple(1 if r == c else 0 for r in range(n)) for c in range(n)]
+
+
+def _times_reflection(cd: CartanData, cols: list[tuple[int, ...]], j0: int) -> None:
+    """cols <- cols * s_{j0+1}: col_c -= a[j][c] * col_j, rebinding only the changed columns."""
+    base = cols[j0]
+    for c0, acoef in enumerate(cd.rows[j0]):
+        if acoef:
+            cols[c0] = tuple(x - acoef * y for x, y in zip(cols[c0], base))
+
+
+def _beta_sequence(cd: CartanData, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # cols[c][r]: coefficient of alpha_{r+1} in M(alpha_{c+1}), M = s_{i_N} ... s_{i_{k+1}}
+    cols = _identity_columns(cd.n)
     betas = []
-    for k0 in range(N):
-        beta = simple_root(cd.n, letters[k0])
-        # innermost reflection first: s_{i_{k+1}}, then s_{i_{k+2}}, ..., s_{i_N}
-        for l0 in range(k0 + 1, N):
-            beta = reflect_root(cd, letters[l0], beta)
-        betas.append(beta)
-    return tuple(betas)
+    for letter in reversed(letters):
+        betas.append(cols[letter - 1])
+        _times_reflection(cd, cols, letter - 1)
+    return tuple(reversed(betas))
 
 
 def _next_occurrences(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -93,7 +100,8 @@ def validate_word(cd: CartanData, letters) -> ReducedWord:
     if len(seq) != expected:
         raise WrongLength(f"expected {expected} letters for {cd.ctype}, got {len(seq)}")
     betas = _beta_sequence(cd, seq)
-    if not all(b.is_positive for b in betas) or len(set(betas)) != len(betas):
+    positive = all(any(b) and min(b) >= 0 for b in betas)
+    if not positive or len(set(betas)) != len(betas):
         raise NotReducedOrNotLongest(f"{seq} is not a reduced word of the longest element")
     return ReducedWord(cd, seq, betas, _next_occurrences(seq))
 
@@ -133,7 +141,7 @@ def enumerate_w0_words(cd: CartanData, limit: int = 100000):
     n = cd.n
     N = len(positive_roots(cd))
     # cols[c][r]: coefficient of alpha_{r+1} in w(alpha_{c+1})
-    cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]
+    cols = _identity_columns(n)
     word: list[int] = []
     emitted = 0
 
@@ -146,24 +154,13 @@ def enumerate_w0_words(cd: CartanData, limit: int = 100000):
             yield validate_word(cd, tuple(word))
             return
         for j0 in range(n):
-            base = cols[j0]
-            if any(x < 0 for x in base):
+            if min(cols[j0]) < 0:
                 continue
-            saved = [col[:] for col in cols]
-            ajrow = cd.rows[j0]
-            base = base[:]
-            # w' = w composed with s_j: col_c -= a[j][c] * col_j
-            for c0 in range(n):
-                acoef = ajrow[c0]
-                if acoef:
-                    colc = cols[c0]
-                    for r in range(n):
-                        colc[r] -= acoef * base[r]
+            saved = cols[:]
+            _times_reflection(cd, cols, j0)
             word.append(j0 + 1)
             yield from walk()
             word.pop()
-            for c0 in range(n):
-                cols[c0][:] = saved[c0]
-        return
+            cols[:] = saved
 
     yield from walk()

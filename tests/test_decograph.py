@@ -41,7 +41,7 @@ def test_supported_classical():
     for name in ("A3", "B3", "C3", "D4"):
         ct = CartanType.parse(name)
         for i in range(1, ct.rank + 1):
-            assert supported(ct, i) is SupportStatus.MINUSCULE_LIKE
+            assert supported(ct, i) is SupportStatus.PAIRING_PROVEN
 
 
 def test_supported_g2():
@@ -61,7 +61,7 @@ def _orbit_max_pairing(cd, i):
     seen, frontier, top = {start}, [start], 1
     while frontier and top < 3:
         lam = frontier.pop()
-        top = max(top, *(abs(c) for c in lam.coords))
+        top = max(top, *(abs(c) for c in lam))
         for j in range(1, cd.n + 1):
             mu = reflect(cd, j, lam)
             if mu not in seen:
@@ -83,7 +83,7 @@ def test_supported_matches_orbit_walk(name):
         if cd.ctype.family == "G":
             expected = SupportStatus.G2_PROVEN
         else:
-            expected = SupportStatus.MINUSCULE_LIKE if top <= 2 else SupportStatus.UNPROVEN
+            expected = SupportStatus.PAIRING_PROVEN if top <= 2 else SupportStatus.UNPROVEN
         assert supported(cd.ctype, i) is expected, i
         assert (i in minuscule_indices(cd)) == (top <= 1), i
     for i in (0, cd.n + 1):
@@ -127,7 +127,7 @@ def test_c3_graph_exact(c3, c3_word):
     assert set(g.edges) == {(ev(9, s), j, ev(9, t)) for s, j, t in fx.C3_EDGES}
     assert g.source == unit(9, 1)
     assert g.sinks() == [ev(9, fx.C3_SINK)]
-    assert g.status is SupportStatus.MINUSCULE_LIKE
+    assert g.status is SupportStatus.PAIRING_PROVEN
     assert not g.forced and g.violations == []
 
 
@@ -262,6 +262,16 @@ def test_verify_graph_flags_closed_gate(c3, c3_word):
     failed = {c["name"] for c in verify_graph(g)["checks"] if c["status"] == "fail"}
     assert "edge_gate_b_positive" in failed
     assert "b_update_on_edges" not in failed and "b_matches_recursion" not in failed
+
+
+@pytest.mark.parametrize("end", [0, 2], ids=["source", "target"])
+def test_verify_graph_reports_an_edge_end_that_is_not_a_vertex(c3, c3_word, end):
+    g = build_graph(c3, c3_word, 2)
+    del g.vertices[g.edges[0][end]]
+    report = verify_graph(g)
+    assert report["status"] == "fail"
+    (check,) = [c for c in report["checks"] if c["name"] == "b_update_on_edges"]
+    assert check["status"] == "fail"
 
 
 def _tamper(g, how):

@@ -1,18 +1,22 @@
 """Randomized structural checks, drawn from pools of enumerated words."""
 
+import random
+from functools import lru_cache
+from itertools import islice
 from operator import sub
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from tropicone.rootsystem import (
     CartanType,
-    RootVec,
-    WeightVec,
     cartan_matrix,
+    fundamental_weight,
     minuscule_indices,
     reflect,
     reflect_root,
+    simple_root,
 )
 from tropicone.wordtools import enumerate_w0_words, j_plus
 from tropicone.monomial import a_monomial
@@ -31,27 +35,74 @@ WORD_POOL = [
 def cd_and_weight(draw):
     cd = draw(st.sampled_from(CDS))
     coords = draw(st.lists(st.integers(-4, 4), min_size=cd.n, max_size=cd.n))
-    return cd, WeightVec(tuple(coords)), draw(st.integers(1, cd.n))
+    return cd, tuple(coords), draw(st.integers(1, cd.n))
 
 
 @given(cd_and_weight())
 def test_reflect_is_an_involution(args):
     cd, lam, j = args
     assert reflect(cd, j, reflect(cd, j, lam)) == lam
-    assert reflect(cd, j, lam).pairing(j) == -lam.pairing(j)
+    assert reflect(cd, j, lam)[j - 1] == -lam[j - 1]
 
 
 @st.composite
 def cd_and_root_vec(draw):
     cd = draw(st.sampled_from(CDS))
     coords = draw(st.lists(st.integers(-4, 4), min_size=cd.n, max_size=cd.n))
-    return cd, RootVec(tuple(coords)), draw(st.integers(1, cd.n))
+    return cd, tuple(coords), draw(st.integers(1, cd.n))
 
 
 @given(cd_and_root_vec())
 def test_reflect_root_is_an_involution(args):
     cd, beta, j = args
     assert reflect_root(cd, j, reflect_root(cd, j, beta)) == beta
+
+
+# every word for A3/B3/C3, the first 50 in lexicographic order for D5/E6/F4/G2,
+# the first one for E7/E8
+LITERAL_WORD_COUNTS = {"A3": None, "B3": None, "C3": None, "D5": 50, "E6": 50, "F4": 50, "G2": 50, "E7": 1, "E8": 1}
+
+
+@lru_cache(maxsize=None)
+def literal_pool(name):
+    cd = cartan_matrix(CartanType.parse(name))
+    return cd, list(islice(enumerate_w0_words(cd), LITERAL_WORD_COUNTS[name]))
+
+
+def beta_by_reflections(cd, letters, k):
+    """beta_k = s_{i_N} ... s_{i_{k+1}}(alpha_{i_k}), one reflection at a time."""
+    beta = simple_root(cd.n, letters[k - 1])
+    for letter in letters[k:]:
+        beta = reflect_root(cd, letter, beta)
+    return beta
+
+
+def b_by_nested_sum(cd, w, i, d):
+    """b_t = d_t + <h_{i_t}, s_i Lambda_i> - sum_{l>t} b_l a_{i_t, i_l}, from t = N down."""
+    silam = reflect(cd, i, fundamental_weight(cd.n, i))
+    b = [0] * w.N
+    for t in range(w.N, 0, -1):
+        later = sum(b[l - 1] * cd.a(w.letter(t), w.letter(l)) for l in range(t + 1, w.N + 1))
+        b[t - 1] = d[t - 1] + silam[w.letter(t) - 1] - later
+    return tuple(b)
+
+
+@pytest.mark.parametrize("name", LITERAL_WORD_COUNTS)
+def test_beta_matches_the_reflection_chain(name):
+    cd, words = literal_pool(name)
+    for w in words:
+        for k in range(1, w.N + 1):
+            assert w.beta[k - 1] == beta_by_reflections(cd, w.letters, k), (str(w), k)
+
+
+@pytest.mark.parametrize("name", LITERAL_WORD_COUNTS)
+def test_b_from_d_matches_the_nested_sum(name):
+    cd, words = literal_pool(name)
+    rng = random.Random(name)
+    for w in words:
+        for i in range(1, cd.n + 1):
+            d = tuple(rng.randint(-3, 3) for _ in range(w.N))
+            assert b_from_d(cd, w, i, d) == b_by_nested_sum(cd, w, i, d), (str(w), i, d)
 
 
 @st.composite
