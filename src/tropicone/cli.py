@@ -113,6 +113,9 @@ def cmd_oracle(args) -> int:
     if args.census_bound < 0:
         print("error: --census-bound must be nonnegative", file=sys.stderr)
         return 1
+    if args.word_limit < 1:
+        print("error: --word-limit must be positive", file=sys.stderr)
+        return 1
     cd = cartan_matrix(CartanType.parse(args.type))
     if args.all_words:
         words = list(enumerate_w0_words(cd, limit=args.word_limit))

@@ -4,14 +4,19 @@ Each monomial prod t_l^{d_l} contributes the row sum_l d_l z_l >= 0; the
 minimum of linear forms is nonnegative exactly when every form is, so the
 system over all indices i cuts out the cone. Lattice points graded by
 letter sums are counted against the Kostant partition function of the dual
-root system.
+root system. The count is exact: the rows themselves are first shown to
+imply z >= 0, by an integer chain of rows found once per cone, so each
+letter class ranges over the nonnegative compositions of its sum. A cone
+whose rows do not yield that chain is refused, not counted.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +31,8 @@ class ConeSystem:
     word: ReducedWord
     # (i, exponent tuple d) per row
     rows: tuple[tuple[int, tuple[int, ...]], ...]
+    # per-cone facts the census proves once and keeps (see orthant_certificate)
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -54,23 +61,62 @@ def string_cone(cd: CartanData, w: ReducedWord, force: bool = False) -> ConeSyst
     return ConeSystem(cd, w, tuple(rows))
 
 
-def _class_tuples(size: int, total: int, bound: int) -> list[tuple[int, ...]]:
-    """All integer tuples of the given size with entries in [-bound, bound] summing to total."""
-    out: list[tuple[int, ...]] = []
+class CensusUncertified(ValueError):
+    """Some coordinate of the cone is not proven nonnegative, so no census is taken."""
 
-    def rec(prefix: list[int], left: int, remaining: int) -> None:
-        if left == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        lo = max(-bound, remaining - bound * (left - 1))
-        hi = min(bound, remaining + bound * (left - 1))
-        for x in range(lo, hi + 1):
-            prefix.append(x)
-            rec(prefix, left - 1, remaining - x)
-            prefix.pop()
 
-    rec([], size, total)
+def orthant_certificate(cone: ConeSystem) -> tuple[int, ...]:
+    """For each position l, the index of a row that proves z_l >= 0 on the cone.
+
+    A row proves z_l >= 0 when its only positive entry is d_l and every
+    negative entry sits at a position already proven: then
+    d_l z_l >= sum |d_m| z_m >= 0. The sources are single-entry rows, so the
+    scan runs to a fixpoint from them. Exact integer reasoning, computed once
+    per cone and cached on it; raises CensusUncertified when some l stays
+    unproven.
+    """
+    cert = cone.cache.get("orthant")
+    if cert is not None:
+        return cert
+    pending = []
+    for r, (_, row) in enumerate(cone.rows):
+        pos = [l for l, c in enumerate(row) if c > 0]
+        if len(pos) == 1:
+            pending.append((pos[0], {l for l, c in enumerate(row) if c < 0}, r))
+    proof: dict[int, int] = {}
+    grew = True
+    while grew:
+        grew = False
+        rest = []
+        for l, neg, r in pending:
+            if l in proof:
+                continue
+            if all(m in proof for m in neg):
+                proof[l] = r
+                grew = True
+            else:
+                rest.append((l, neg, r))
+        pending = rest
+    if len(proof) < cone.N:
+        l = next(l for l in range(cone.N) if l not in proof)
+        raise CensusUncertified(
+            f"census of ({cone.cd.ctype}, word {cone.word}): "
+            f"no certificate that z_{l + 1} >= 0"
+        )
+    cert = cone.cache["orthant"] = tuple(proof[l] for l in range(cone.N))
+    return cert
+
+
+@lru_cache(maxsize=256)
+def _compositions(total: int, size: int) -> np.ndarray:
+    """All nonnegative integer vectors of the given size summing to total, one per row."""
+    # stars and bars: the size - 1 bar positions among total + size - 1 slots
+    picks = list(combinations(range(total + size - 1), size - 1))
+    k = len(picks)
+    bars = np.array(picks, dtype=np.int64).reshape(k, size - 1)
+    edges = np.hstack([np.full((k, 1), -1), bars, np.full((k, 1), total + size - 1)])
+    out = np.diff(edges, axis=1) - 1
+    out.flags.writeable = False
     return out
 
 
@@ -89,12 +135,37 @@ def weights_up_to(n: int, bound: int):
     yield from rec([], n, bound)
 
 
+def _class_blocks(cone: ConeSystem) -> list[np.ndarray]:
+    """Per letter t, the rows' coefficients at the positions carrying t, as positions x rows.
+
+    Every letter occurs in a reduced word of w0, so no block is empty.
+    """
+    blocks = cone.cache.get("classes")
+    if blocks is None:
+        row_mat = np.array([row for _, row in cone.rows], dtype=np.int64).reshape(-1, cone.N)
+        letters = np.array(cone.word.letters)
+        blocks = [row_mat[:, letters == t].T.copy() for t in range(1, cone.cd.n + 1)]
+        cone.cache["classes"] = blocks
+    return blocks
+
+
+def _weight(n: int, mvec) -> tuple[int, ...]:
+    """mvec as a tuple of n nonnegative Python ints; ValueError otherwise."""
+    mv = tuple(mvec)
+    if len(mv) != n or not all(isinstance(x, Integral) and x >= 0 for x in mv):
+        raise ValueError(f"weight must be {n} nonnegative integers, got {mv!r}")
+    return tuple(int(x) for x in mv)
+
+
 def weight_census(cone: ConeSystem, mvec) -> int:
-    """Count lattice points of the cone with prescribed letter sums.
+    """Count the lattice points of the cone with prescribed letter sums.
 
     For each letter value t, the coordinates at positions carrying t must sum
-    to mvec[t-1]. Candidates range over [-S, S] per coordinate with
-    S = sum(mvec); this box is assumed, not certified.
+    to mvec[t-1]. The count is exact: `orthant_certificate` first proves
+    z >= 0 on the whole cone (once, cached on it), so every coordinate of
+    class t lies in [0, mvec[t-1]] and the candidates are the nonnegative
+    compositions of mvec[t-1] over the class's positions. A cone without that
+    certificate raises CensusUncertified; no box is assumed.
 
     Each letter class keeps only its candidates' contributions to every row,
     never the points. A fixpoint filter drops a candidate once some row stays
@@ -106,26 +177,11 @@ def weight_census(cone: ConeSystem, mvec) -> int:
     the last merge that is the exact check, so memory is bounded by the
     surviving frontier rather than by the product of the classes.
     """
-    w = cone.word
-    n, N = cone.cd.n, cone.N
-    mv = tuple(int(x) for x in mvec)
-    if len(mv) != n or any(x < 0 for x in mv):
-        raise ValueError(f"mvec must be {n} nonnegative integers")
-    S = sum(mv)
-    if S == 0:
+    mv = _weight(cone.cd.n, mvec)
+    if sum(mv) == 0:
         return 1
-    row_mat = np.array([row for _, row in cone.rows], dtype=np.int64).reshape(-1, N)
-
-    letters = np.array(w.letters)
-    contribs = []
-    for t, m_t in enumerate(mv, start=1):
-        cols = np.flatnonzero(letters == t)
-        if cols.size == 0:
-            if m_t > 0:
-                return 0
-            continue
-        arr = np.array(_class_tuples(cols.size, m_t, S), dtype=np.int64).reshape(-1, cols.size)
-        contribs.append(arr @ row_mat[:, cols].T)
+    orthant_certificate(cone)
+    contribs = [_compositions(m_t, len(block)) @ block for m_t, block in zip(mv, _class_blocks(cone))]
 
     # one row per surviving candidate, all classes stacked in order; cls names its class
     cand = np.concatenate(contribs)
@@ -164,7 +220,7 @@ def dual_kostant_count(cd: CartanData, mvec) -> int:
     (transposed-matrix) system is used here and nowhere else.
     """
     roots = _dual_positive_root_list(cd)
-    target = tuple(int(x) for x in mvec)
+    target = _weight(cd.n, mvec)
 
     @lru_cache(maxsize=None)
     def count(idx: int, remaining: tuple[int, ...]) -> int:

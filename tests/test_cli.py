@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tropicone import cli, decograph
+from tropicone import cli, decograph, stringcone
 from tropicone.cli import main
 
 C3_ARGS = ["--type", "C3", "--word", "2,3,2,1,2,3,2,3,1"]
@@ -87,6 +87,8 @@ def test_bad_input_exit_codes(capsys):
     assert run(capsys, "graph", "--type", "E6", "--word", E6_WORD, "--i", "0")[0] == 1
     rc, out, err = run(capsys, "oracle", "--type", "A3", "--word", "1,2,1,3,2,1", "--census-bound", "-1")
     assert (rc, out, err) == (1, "", "error: --census-bound must be nonnegative\n")
+    rc, out, err = run(capsys, "oracle", "--type", "A3", "--all-words", "--word-limit", "0")
+    assert (rc, out, err) == (1, "", "error: --word-limit must be positive\n")
 
 
 def test_vertex_cap_exits_1(capsys, monkeypatch):
@@ -104,6 +106,17 @@ def test_out_of_memory_exits_1(capsys, monkeypatch):
     rc, out, err = run(capsys, "oracle", *C3_ARGS, "--census-bound", "1")
     assert rc == 1 and out == ""
     assert err == "error: out of memory running oracle\n"
+
+
+def test_uncertified_cone_exits_1(capsys, monkeypatch):
+    def without_first_row(cd, w):
+        cone = stringcone.string_cone(cd, w)
+        return stringcone.ConeSystem(cd, w, cone.rows[1:])
+
+    monkeypatch.setattr(cli, "string_cone", without_first_row)
+    rc, out, err = run(capsys, "oracle", *C3_ARGS, "--census-bound", "1")
+    assert rc == 1 and out == ""
+    assert err == "error: census of (C3, word 2,3,2,1,2,3,2,3,1): no certificate that z_4 >= 0\n"
 
 
 def test_cone_text(capsys):

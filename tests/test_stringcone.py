@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -6,8 +7,11 @@ from tropicone.monomial import unit
 from tropicone.rootsystem import CartanType, cartan_matrix
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.stringcone import (
+    CensusUncertified,
+    ConeSystem,
     dual_kostant_count,
     half_potential_monomials,
+    orthant_certificate,
     render,
     string_cone,
     to_json_dict,
@@ -98,6 +102,89 @@ def test_census_rank_four_words_up_to_weight_four(name, letters):
     cone = string_cone(cd, validate_word(cd, letters))
     for mvec in weights_up_to(4, 4):
         assert weight_census(cone, mvec) == dual_kostant_count(cd, mvec), mvec
+
+
+# seeded random words; their cones are built forced, since F4 i=2,3 and E6 i=3 are unproven
+EXCEPTIONAL_WORDS = {
+    "F4": (2, 4, 1, 3, 2, 3, 2, 4, 3, 1, 2, 3, 1, 4, 2, 1, 3, 4, 2, 1, 3, 2, 4, 3),
+    "E6": (
+        2, 6, 1, 4, 2, 5, 4, 3, 6, 4, 2, 1, 5, 3, 4, 5, 2, 6,
+        3, 4, 2, 6, 1, 3, 2, 1, 3, 6, 4, 5, 3, 4, 3, 2, 6, 3,
+    ),
+}
+
+
+def exceptional_word(cd, name, seeded):
+    return validate_word(cd, EXCEPTIONAL_WORDS[name]) if seeded else next(enumerate_w0_words(cd))
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["lex-first", "seeded"])
+@pytest.mark.parametrize("name, bound", [("F4", 4), ("E6", 3)])
+def test_census_forced_exceptional_cones(name, bound, seeded):
+    cd = cartan_matrix(CartanType.parse(name))
+    cone = string_cone(cd, exceptional_word(cd, name, seeded), force=True)
+    for mvec in weights_up_to(cd.n, bound):
+        assert weight_census(cone, mvec) == dual_kostant_count(cd, mvec), mvec
+
+
+def unrolled_certificate(cone, cert):
+    """Per position l, multipliers lam with e_l = sum_r lam[r] * row_r, read off cert."""
+    rows = [row for _, row in cone.rows]
+    done = {}
+
+    def unroll(l):
+        if l not in done:
+            # d_l e_l = row + sum of |d_m| e_m over the row's negative entries
+            row = rows[cert[l]]
+            lam = {cert[l]: Fraction(1, row[l])}
+            for m, c in enumerate(row):
+                if c < 0:
+                    for r, x in unroll(m).items():
+                        lam[r] = lam.get(r, 0) + Fraction(-c, row[l]) * x
+            done[l] = lam
+        return done[l]
+
+    return [unroll(l) for l in range(cone.N)]
+
+
+def certified_cones():
+    for name in ("A3", "B3", "C3", "G2"):
+        cd = cartan_matrix(CartanType.parse(name))
+        for w in enumerate_w0_words(cd):
+            yield string_cone(cd, w)
+    d4 = cartan_matrix(CartanType.parse("D4"))
+    yield string_cone(d4, validate_word(d4, dict(RANK_FOUR_WORDS)["D4"]))
+    for name in EXCEPTIONAL_WORDS:
+        cd = cartan_matrix(CartanType.parse(name))
+        yield string_cone(cd, exceptional_word(cd, name, seeded=True), force=True)
+
+
+def test_orthant_certificate_unrolls_to_nonnegative_row_combinations():
+    for cone in certified_cones():
+        assert cone.cache == {}  # string_cone never certifies; the census does
+        cert = orthant_certificate(cone)
+        for l, lam in enumerate(unrolled_certificate(cone, cert)):
+            assert all(x >= 0 for x in lam.values())
+            total = [sum(x * cone.rows[r][1][k] for r, x in lam.items()) for k in range(cone.N)]
+            assert total == [int(k == l) for k in range(cone.N)], (str(cone.cd.ctype), cone.word, l)
+
+
+def test_census_refuses_an_uncertified_cone(c3, c3_word):
+    cone = string_cone(c3, c3_word)
+    assert cone.rows[0] == (1, unit(9, 9))
+    # without the source row z_9 >= 0, z_9 is no longer proven, nor what rests on it
+    cut = ConeSystem(c3, c3_word, cone.rows[1:])
+    with pytest.raises(CensusUncertified, match=r"C3, word 2,3,2,1,2,3,2,3,1\): no certificate that z_4 >= 0"):
+        weight_census(cut, (1, 0, 0))
+
+
+@pytest.mark.parametrize("mvec", [(1, 0), (-1, 0, 0), (1.7, 0, 0)])
+def test_malformed_weights_are_rejected(c3, c3_word, mvec):
+    cone = string_cone(c3, c3_word)
+    with pytest.raises(ValueError, match="weight must be 3 nonnegative integers"):
+        weight_census(cone, mvec)
+    with pytest.raises(ValueError, match="weight must be 3 nonnegative integers"):
+        dual_kostant_count(c3, mvec)
 
 
 def test_weights_up_to_order():
