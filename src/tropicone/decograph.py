@@ -17,9 +17,11 @@ predicate that verify_graph checks finished graphs against.
 Each fire produces d' = d / A_j and b' = b with +1 at j and -1 at j+. The b
 recursion is affine in d with a linear part that depends on the word alone,
 so b(d / A_j) - b(d) = e_j - e_{j+} is a fact about (word, j): it is proven
-once per word, and a failure, a convention bug, always raises. The source b
-is checked against a closed form, and verify_graph recomputes b from the
-recursion at every vertex of a finished graph, independently of the build.
+once per word, and a failure, a convention bug, always raises, forced build
+or not. From then on b is a function of d, so a vertex keeps the b it was
+first reached with. The source b is checked against a closed form, and
+verify_graph recomputes b from the recursion at every vertex of a finished
+graph, independently of the build.
 
 The quantity L = sum_t t * b_t drops by exactly j+ - j along every edge,
 which is what makes the worklist terminate and the graph acyclic.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import mul, sub
 
@@ -44,7 +46,7 @@ from .rootsystem import (
     minuscule_indices,
     reflect,
 )
-from .wordtools import ReducedWord, source_index
+from .wordtools import ReducedWord, WordError, source_index
 
 
 class GraphError(RuntimeError):
@@ -56,7 +58,7 @@ class ClosedFormMismatch(GraphError):
 
 
 class BUpdateMismatch(GraphError):
-    """The b shift of a firing, or a merged b, disagrees with the b recursion."""
+    """The per-word proof of the b shift of a firing failed against the b recursion."""
 
 
 class VertexCapExceeded(GraphError):
@@ -101,7 +103,6 @@ class DecoGraph:
     source: tuple[int, ...]
     status: SupportStatus
     forced: bool = False
-    violations: list[str] = field(default_factory=list)
 
     def sinks(self) -> list[tuple[int, ...]]:
         has_out = {src for src, _, _ in self.edges}
@@ -238,14 +239,15 @@ def build_graph(
 
     FIFO over vertices, each expanded exactly once, labels ascending. With
     the b update proven once per word by the affine argument (_firing_table),
-    an edge is a subtraction by the cached A_j, the shift of b at j and j+,
-    and on a merge a comparison with the stored b; verify_graph still
-    recomputes b from the recursion at every vertex. For inputs without a
-    proven description (status Unproven, reachable only with force=True) a
-    merge mismatch goes to graph.violations instead of raising, since there
-    is no theorem to contradict. Reaching max_vertices raises
+    an edge is a subtraction by the cached A_j, and a new vertex stores its
+    parent's b shifted at j and j+; verify_graph still recomputes b from the
+    recursion at every vertex. force only lifts UnsupportedIndex for a
+    (type, i) without a proven description. A word validated for another
+    Cartan matrix raises WordError; reaching max_vertices raises
     VertexCapExceeded.
     """
+    if w.cd != cd:
+        raise WordError(f"word {w} was validated for {w.cd.ctype}, not {cd.ctype}")
     status = supported(cd.ctype, i)
     if status is SupportStatus.UNPROVEN and not force:
         raise UnsupportedIndex(
@@ -257,30 +259,21 @@ def build_graph(
     jplus = w.jplus
     vertices = {d0: b0}
     edges = []
-    violations: list[str] = []
     queue = deque([d0])
 
     while queue:
         d = queue.popleft()
         b = vertices[d]
         for j in firing_labels(w, d, b):
-            jp = jplus[j - 1]
             d2 = tuple(map(sub, d, table[j - 1]))
-            b2 = list(b)
-            b2[j - 1] += 1
-            b2[jp - 1] -= 1
-            b2 = tuple(b2)
-            known = vertices.get(d2)
-            if known is None:
+            if d2 not in vertices:
                 if len(vertices) >= max_vertices:
                     raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})")
-                vertices[d2] = b2
+                b2 = list(b)
+                b2[j - 1] += 1
+                b2[jplus[j - 1] - 1] -= 1
+                vertices[d2] = tuple(b2)
                 queue.append(d2)
-            elif known != b2:
-                msg = f"merge at {render(d2)}: stored b {known}, incoming {b2}"
-                if status is not SupportStatus.UNPROVEN:
-                    raise BUpdateMismatch(msg)
-                violations.append(msg)
             edges.append((d, j, d2))
 
     return DecoGraph(
@@ -292,7 +285,6 @@ def build_graph(
         source=d0,
         status=status,
         forced=force,
-        violations=violations,
     )
 
 
@@ -324,13 +316,17 @@ def verify_graph(g: DecoGraph) -> dict:
         f"lowest term {render(lt)}, sinks {[render(d) for d in sinks]}",
     )
 
-    bad_div = [e for e in g.edges if e[2] != tuple(map(sub, e[0], a_monomial(cd, w, e[1])))]
-    add("edges_divide_by_a", not bad_div, f"{len(bad_div)} bad edges")
+    # a label names an A_j only when 1 <= j and j+ <= N; the other edges
+    # fail here and carry nothing for the checks below
+    named = [e for e in g.edges if 0 < e[1] <= w.N and w.jplus[e[1] - 1] <= w.N]
+    bad_div = len(g.edges) - len(named)
+    bad_div += sum(dst != tuple(map(sub, src, a_monomial(cd, w, j))) for src, j, dst in named)
+    add("edges_divide_by_a", not bad_div, f"{bad_div} bad edges")
 
     bad_b = []
     bad_gate = []
     bad_l = []
-    for src, j, dst in g.edges:
+    for src, j, dst in named:
         jp = w.jplus[j - 1]
         bs, bd = g.vertices.get(src), g.vertices.get(dst)
         if bs is None or bd is None:
@@ -399,7 +395,7 @@ def to_json_dict(g: DecoGraph) -> dict:
         "edges": [{"src": list(s), "j": j, "dst": list(t)} for s, j, t in g.edges],
         "source": list(g.source),
         "sinks": [list(d) for d in g.sinks()],
-        "violations": list(g.violations),
+        "violations": [],
     }
 
 

@@ -89,6 +89,11 @@ def test_bad_input_exit_codes(capsys):
     assert (rc, out, err) == (1, "", "error: --census-bound must be nonnegative\n")
     rc, out, err = run(capsys, "oracle", "--type", "A3", "--all-words", "--word-limit", "0")
     assert (rc, out, err) == (1, "", "error: --word-limit must be positive\n")
+    # argparse usage errors exit 1 too: 2 means an unproven index
+    rc, out, err = run(capsys, "cone", "--type", "C3")
+    assert rc == 1 and out == "" and "the following arguments are required: --word" in err
+    rc, out, err = run(capsys, "graph", *C3_ARGS, "--i", "x")
+    assert rc == 1 and out == "" and "invalid int value: 'x'" in err
 
 
 def test_vertex_cap_exits_1(capsys, monkeypatch):
@@ -233,5 +238,7 @@ def test_outdir_env(capsys, tmp_path, monkeypatch):
 
 
 def test_argparse_rejects_unknown_format(capsys):
-    with pytest.raises(SystemExit):
-        main(["cone", *C3_ARGS, "--format", "pdf"])
+    rc, out, err = run(capsys, "cone", *C3_ARGS, "--format", "pdf")
+    assert rc == 1 and out == "" and "invalid choice: 'pdf'" in err
+    rc, out, _ = run(capsys, "--help")
+    assert rc == 0 and out.startswith("usage: tropicone")

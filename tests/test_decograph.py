@@ -13,7 +13,7 @@ from tropicone.rootsystem import (
     minuscule_indices,
     reflect,
 )
-from tropicone.wordtools import enumerate_w0_words, validate_word
+from tropicone.wordtools import WordError, enumerate_w0_words, validate_word
 from tropicone.decograph import (
     BUpdateMismatch,
     ClosedFormMismatch,
@@ -128,7 +128,7 @@ def test_c3_graph_exact(c3, c3_word):
     assert g.source == unit(9, 1)
     assert g.sinks() == [ev(9, fx.C3_SINK)]
     assert g.status is SupportStatus.PAIRING_PROVEN
-    assert not g.forced and g.violations == []
+    assert not g.forced
 
 
 def test_c3_singleton_graphs(c3, c3_word):
@@ -180,10 +180,42 @@ def test_unsupported_requires_force():
         build_graph(f4, w, 2)
     g = build_graph(f4, w, 2, force=True)
     assert g.forced and g.status is SupportStatus.UNPROVEN
-    assert isinstance(g.violations, list)
-    # a supported index of the same type still builds strictly
+    assert verify_graph(g)["status"] == "pass"
+    # a supported index of the same type builds without force
     gs = build_graph(f4, w, 1)
-    assert not gs.forced and gs.violations == []
+    assert not gs.forced and gs.status is SupportStatus.PAIRING_PROVEN
+
+
+# no theorem covers these (type, i): verify_graph's recomputation is the
+# evidence that the forced build is right
+FORCED_UNPROVEN = [
+    ("F4", False, 2), ("F4", False, 3), ("F4", True, 2), ("F4", True, 3),
+    ("E6", False, 3), ("E6", True, 3),
+    ("E7", False, 3), ("E7", False, 4), ("E7", False, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "name, seeded, i",
+    FORCED_UNPROVEN,
+    ids=[f"{n}-{'seeded' if s else 'lex-first'}-i{i}" for n, s, i in FORCED_UNPROVEN],
+)
+def test_verify_graph_passes_on_forced_unproven(name, seeded, i):
+    cd = cartan_matrix(CartanType.parse(name))
+    w = validate_word(cd, fx.EXCEPTIONAL_WORDS[name]) if seeded else next(enumerate_w0_words(cd, limit=1))
+    g = build_graph(cd, w, i, force=True)
+    assert g.status is SupportStatus.UNPROVEN
+    report = verify_graph(g)
+    assert report["status"] == "pass", [c for c in report["checks"] if c["status"] == "fail"]
+
+
+def test_word_of_another_cartan_matrix_is_rejected(b3, c3):
+    # one word, valid for both B3 and C3, validated for C3
+    w = validate_word(c3, fx.C3_WORD)
+    assert len(build_graph(c3, w, 2).vertices) == 12
+    with pytest.raises(WordError, match="validated for C3, not B3"):
+        build_graph(b3, w, 2)
+    assert len(build_graph(b3, validate_word(b3, fx.C3_WORD), 2).vertices) == 19
 
 
 def test_minuscule_rule_matches_generic(c3, b3):
@@ -262,6 +294,16 @@ def test_verify_graph_flags_closed_gate(c3, c3_word):
     failed = {c["name"] for c in verify_graph(g)["checks"] if c["status"] == "fail"}
     assert "edge_gate_b_positive" in failed
     assert "b_update_on_edges" not in failed and "b_matches_recursion" not in failed
+
+
+@pytest.mark.parametrize("label", [9, 0, 10, -1], ids=["N", "zero", "N+1", "negative"])
+def test_verify_graph_fails_an_edge_label_that_names_no_a(c3, c3_word, label):
+    # position 9 is the last 1 of the word, so A_9 does not exist either
+    g = build_graph(c3, c3_word, 2)
+    g.edges.append((g.source, label, g.sinks()[0]))
+    report = verify_graph(g)
+    assert report["status"] == "fail"
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {"edges_divide_by_a"}
 
 
 @pytest.mark.parametrize("end", [0, 2], ids=["source", "target"])

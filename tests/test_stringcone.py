@@ -104,18 +104,8 @@ def test_census_rank_four_words_up_to_weight_four(name, letters):
         assert weight_census(cone, mvec) == dual_kostant_count(cd, mvec), mvec
 
 
-# seeded random words; their cones are built forced, since F4 i=2,3 and E6 i=3 are unproven
-EXCEPTIONAL_WORDS = {
-    "F4": (2, 4, 1, 3, 2, 3, 2, 4, 3, 1, 2, 3, 1, 4, 2, 1, 3, 4, 2, 1, 3, 2, 4, 3),
-    "E6": (
-        2, 6, 1, 4, 2, 5, 4, 3, 6, 4, 2, 1, 5, 3, 4, 5, 2, 6,
-        3, 4, 2, 6, 1, 3, 2, 1, 3, 6, 4, 5, 3, 4, 3, 2, 6, 3,
-    ),
-}
-
-
 def exceptional_word(cd, name, seeded):
-    return validate_word(cd, EXCEPTIONAL_WORDS[name]) if seeded else next(enumerate_w0_words(cd))
+    return validate_word(cd, fx.EXCEPTIONAL_WORDS[name]) if seeded else next(enumerate_w0_words(cd))
 
 
 @pytest.mark.parametrize("seeded", [False, True], ids=["lex-first", "seeded"])
@@ -154,7 +144,7 @@ def certified_cones():
             yield string_cone(cd, w)
     d4 = cartan_matrix(CartanType.parse("D4"))
     yield string_cone(d4, validate_word(d4, dict(RANK_FOUR_WORDS)["D4"]))
-    for name in EXCEPTIONAL_WORDS:
+    for name in fx.EXCEPTIONAL_WORDS:
         cd = cartan_matrix(CartanType.parse(name))
         yield string_cone(cd, exceptional_word(cd, name, seeded=True), force=True)
 
