@@ -258,6 +258,8 @@ def build_graph(
     table = _firing_table(cd, w, i, d0, b0)
     jplus = w.jplus
     vertices = {d0: b0}
+    # each d tuple once: an edge holds the stored key, not an equal copy
+    keys = {d0: d0}
     edges = []
     queue = deque([d0])
 
@@ -266,7 +268,8 @@ def build_graph(
         b = vertices[d]
         for j in firing_labels(w, d, b):
             d2 = tuple(map(sub, d, table[j - 1]))
-            if d2 not in vertices:
+            key = keys.setdefault(d2, d2)
+            if key is d2:
                 if len(vertices) >= max_vertices:
                     raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})")
                 b2 = list(b)
@@ -274,7 +277,7 @@ def build_graph(
                 b2[jplus[j - 1] - 1] -= 1
                 vertices[d2] = tuple(b2)
                 queue.append(d2)
-            edges.append((d, j, d2))
+            edges.append((d, j, key))
 
     return DecoGraph(
         cd=cd,

@@ -38,8 +38,11 @@ def render(d: tuple[int, ...]) -> str:
 def a_monomial(cd: CartanData, w: ReducedWord, j: int) -> tuple[int, ...]:
     """A_j = t_j t_{j+} prod_{j<l<j+} t_l^{a_{i_l, i_j}}.
 
-    Every graph edge divides by one of these.
+    Every graph edge divides by one of these. A position outside [1, N]
+    raises ValueError.
     """
+    if not 1 <= j <= w.N:
+        raise ValueError(f"position {j} out of [1, {w.N}]")
     jp = j_plus(w, j)
     if jp > w.N:
         raise NoNextOccurrence(f"letter {w.letter(j)} does not occur again after position {j}")

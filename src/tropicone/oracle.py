@@ -4,7 +4,10 @@ Two oracles, deliberately sharing nothing with the graph builder:
 
 * trail enumeration in a minuscule weight diagram, walking weight paths
   gamma_0 -> gamma_N with steps of 0 or 1 times a simple root, which yields
-  both the exponent vectors c and the monomials d;
+  both the exponent vectors c and the monomials d. The diagram depends on
+  the root system and i alone: it is the Weyl orbit of -Lambda_i, built once
+  per (root system, i) without the word, and every path starts at its one
+  dominant weight -w0 Lambda_i;
 * the relevant minor of the matrix product x_{-i_1}(t_1) ... x_{-i_N}(t_N)
   in type A, exact as a Laurent polynomial and computed by propagation:
   only the minors on its fixed rows are carried through the word, each
@@ -17,6 +20,7 @@ dict from exponent tuple to its nonzero integer coefficient.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import sub
 
 from .decograph import b_from_d, build_graph
@@ -44,52 +48,43 @@ class MixedSigns(RuntimeError):
 # ---------------------------------------------------------------- trails
 
 
-def _minus_w0_lambda(cd: CartanData, w: ReducedWord, i: int) -> tuple[int, ...]:
-    """-w0 Lambda_i, with w0 taken from the word itself."""
-    mu = fundamental_weight(cd.n, i)
-    for l in range(w.N, 0, -1):
-        mu = reflect(cd, w.letter(l), mu)
-    return tuple(-x for x in mu)
+@lru_cache(maxsize=None)
+def minuscule_weight_diagram(cd: CartanData, i: int) -> frozenset[tuple[int, ...]]:
+    """The weight set of the minuscule representation with highest weight -w0 Lambda_i.
 
-
-def _orbit(cd: CartanData, start: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    seen = {start}
+    The single Weyl orbit of -Lambda_i, cached per root system and index; its
+    one dominant weight is -w0 Lambda_i. Every pairing with a coroot lands in
+    {-1, 0, 1}, which is asserted because the trail walk depends on it.
+    """
+    if i not in minuscule_indices(cd):
+        raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
+    start = tuple(-x for x in fundamental_weight(cd.n, i))
+    weights = {start}
     frontier = [start]
     while frontier:
         mu = frontier.pop()
         for j in range(1, cd.n + 1):
             nu = reflect(cd, j, mu)
-            if nu not in seen:
-                seen.add(nu)
+            if nu not in weights:
+                weights.add(nu)
                 frontier.append(nu)
-    return frozenset(seen)
-
-
-def minuscule_weight_diagram(cd: CartanData, w: ReducedWord, i: int) -> frozenset[tuple[int, ...]]:
-    """The weight set of the minuscule representation with highest weight -w0 Lambda_i.
-
-    A single Weyl orbit; every pairing with a coroot lands in {-1, 0, 1},
-    which is asserted because the trail walk depends on it.
-    """
-    if i not in minuscule_indices(cd):
-        raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
-    weights = _orbit(cd, _minus_w0_lambda(cd, w, i))
     for mu in weights:
         if any(abs(c) > 1 for c in mu):
             raise AssertionError(f"non-minuscule pairing in diagram for ({cd.ctype}, {i}): {mu}")
-    return weights
+    return frozenset(weights)
 
 
 def _trails(cd: CartanData, w: ReducedWord, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (c-vector, d-vector) pairs of weight paths gamma_0 -> -s_i Lambda_i.
+    """All (c-vector, d-vector) pairs of weight paths -w0 Lambda_i -> -s_i Lambda_i.
 
-    gamma_{k-1} = gamma_k + c_k alpha_{i_k} with c_k in {0, 1} and every
-    gamma_k inside the weight diagram; d_k = <h_{i_k}, gamma_k> + c_k.
+    gamma_0 is the diagram's dominant weight, gamma_{k-1} = gamma_k + c_k
+    alpha_{i_k} with c_k in {0, 1} and every gamma_k inside the weight
+    diagram; d_k = <h_{i_k}, gamma_k> + c_k.
     """
-    weights = minuscule_weight_diagram(cd, w, i)
+    weights = minuscule_weight_diagram(cd, i)
+    start = next(mu for mu in weights if min(mu) >= 0)
     target = tuple(-x for x in reflect(cd, i, fundamental_weight(cd.n, i)))
     alphas = {j: simple_root_weight(cd, j) for j in set(w.letters)}
-    start = _minus_w0_lambda(cd, w, i)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     cs: list[int] = []
     ds: list[int] = []
@@ -233,17 +228,13 @@ def agreement_report(cd: CartanData, w: ReducedWord, i: int) -> dict:
     trail_set = minuscule_trail_monomials(cd, w, i) if i in minuscule_indices(cd) else None
     minor = typeA_minor_poly(cd, w, i) if cd.ctype.family == "A" else None
 
-    oracle_set = None
-    notes = []
-    if minor is not None:
-        oracle_set = set(minor)
-    if trail_set is not None:
-        if oracle_set is None:
-            oracle_set = trail_set
-        elif oracle_set != trail_set:
-            notes.append("trail and minor oracles disagree with each other")
-    if oracle_set is None:
+    applicable = [set(s) for s in (minor, trail_set) if s is not None]
+    if not applicable:
         raise NotMinuscule(f"no oracle applies to ({cd.ctype}, i={i})")
+    oracle_set = applicable[0]
+    notes = []
+    if any(s != oracle_set for s in applicable):
+        notes.append("trail and minor oracles disagree with each other")
 
     missing = sorted(oracle_set - graph_set)
     extra = sorted(graph_set - oracle_set)

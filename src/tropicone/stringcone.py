@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from numbers import Integral
+from operator import sub
 
 import numpy as np
 
@@ -213,33 +214,32 @@ def _dual_positive_root_list(cd: CartanData) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(positive_roots(dual_cartan(cd))))
 
 
+@lru_cache(maxsize=None)
+def _kostant(cd: CartanData, idx: int, remaining: tuple[int, ...]) -> int:
+    """Multisets of the dual positive roots from index idx on that sum to remaining."""
+    if not any(remaining):
+        return 1
+    roots = _dual_positive_root_list(cd)
+    if idx == len(roots):
+        return 0
+    root = roots[idx]
+    total = 0
+    while True:
+        total += _kostant(cd, idx + 1, remaining)
+        if any(rv > r for rv, r in zip(root, remaining)):
+            return total
+        remaining = tuple(map(sub, remaining, root))
+
+
 def dual_kostant_count(cd: CartanData, mvec) -> int:
     """Number of multisets of dual positive roots summing to sum mvec[t-1] alpha_t.
 
     This is the reference count the census must reproduce; the dual
-    (transposed-matrix) system is used here and nowhere else.
+    (transposed-matrix) system is used here and nowhere else. The recursion
+    is memoized per (root system, root index, remainder) for the whole
+    process, so weights checked one after another share their subproblems.
     """
-    roots = _dual_positive_root_list(cd)
-    target = _weight(cd.n, mvec)
-
-    @lru_cache(maxsize=None)
-    def count(idx: int, remaining: tuple[int, ...]) -> int:
-        if not any(remaining):
-            return 1
-        if idx == len(roots):
-            return 0
-        root = roots[idx]
-        total = 0
-        rem = list(remaining)
-        while True:
-            total += count(idx + 1, tuple(rem))
-            if any(rv > r for rv, r in zip(root, rem)):
-                break
-            for t in range(len(rem)):
-                rem[t] -= root[t]
-        return total
-
-    return count(0, target)
+    return _kostant(cd, 0, _weight(cd.n, mvec))
 
 
 def _row_text(row: tuple[int, ...]) -> str:

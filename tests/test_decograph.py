@@ -225,6 +225,16 @@ def test_minuscule_rule_matches_generic(c3, b3):
             assert firing_labels_minuscule(w, d) == firing_labels(w, d, b), d
 
 
+def test_edges_hold_the_stored_vertex_keys(c3, c3_word):
+    e6 = cartan_matrix(CartanType.parse("E6"))
+    g = build_graph(c3, c3_word, 2)
+    # more edges than a tree on the vertices: some edges end at a merge
+    assert (len(g.vertices), len(g.edges)) == (12, 14)
+    for g in (g, build_graph(e6, next(enumerate_w0_words(e6, limit=1)), 3, force=True)):
+        keys = {id(d) for d in g.vertices}
+        assert all(id(src) in keys and id(dst) in keys for src, _, dst in g.edges)
+
+
 def test_vertex_cap(c3, c3_word):
     with pytest.raises(GraphError, match="cap"):
         build_graph(c3, c3_word, 2, max_vertices=5)

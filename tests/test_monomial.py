@@ -3,6 +3,8 @@ from operator import sub
 import pytest
 
 from tropicone.monomial import NoNextOccurrence, a_monomial, lowest_term, render, unit
+from tropicone.rootsystem import CartanType, cartan_matrix
+from tropicone.wordtools import validate_word
 
 import fixture_data as fx
 from fixture_data import ev
@@ -41,6 +43,14 @@ def test_a_monomial_no_next(c3, c3_word):
         a_monomial(c3, c3_word, 7)
     with pytest.raises(NoNextOccurrence):
         a_monomial(c3, c3_word, 9)
+
+
+@pytest.mark.parametrize("j", [-2, 0, 4], ids=["negative", "zero", "N+1"])
+def test_a_monomial_rejects_a_position_outside_the_word(j):
+    a2 = cartan_matrix(CartanType.parse("A2"))
+    w = validate_word(a2, (1, 2, 1))
+    with pytest.raises(ValueError, match=r"position -?\d+ out of \[1, 3\]"):
+        a_monomial(a2, w, j)
 
 
 def test_edges_divide_by_a_monomials(c3, c3_word):

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from tropicone import oracle
-from tropicone.rootsystem import CartanType, NotMinuscule, RootSystemError, cartan_matrix
+from tropicone.rootsystem import (
+    CartanType,
+    NotMinuscule,
+    RootSystemError,
+    cartan_matrix,
+    fundamental_weight,
+    minuscule_indices,
+    reflect,
+)
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.decograph import build_graph
 from tropicone.oracle import (
@@ -123,10 +131,42 @@ def test_minor_matches_numeric_determinant(a3):
 
 
 def test_weight_diagram_c3_vector_rep(c3, c3_word):
-    diagram = minuscule_weight_diagram(c3, c3_word, 1)
+    diagram = minuscule_weight_diagram(c3, 1)
     assert len(diagram) == 6
     with pytest.raises(NotMinuscule):
-        minuscule_weight_diagram(c3, c3_word, 2)
+        minuscule_weight_diagram(c3, 2)
+
+
+# 54 minuscule (type, i) in all
+MINUSCULE_TYPES = (
+    [f"A{n}" for n in range(1, 8)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 6)]
+    + [f"D{n}" for n in range(3, 8)]
+    + ["E6", "E7"]
+)
+
+
+@pytest.mark.parametrize("name", MINUSCULE_TYPES)
+def test_weight_diagram_is_the_orbit_of_minus_w0_lambda(name):
+    cd = cartan_matrix(CartanType.parse(name))
+    w = next(enumerate_w0_words(cd, limit=1))
+    for i in sorted(minuscule_indices(cd)):
+        # reference: -w0 Lambda_i with w0 = s_{i_1} ... s_{i_N} read off the word
+        top = fundamental_weight(cd.n, i)
+        for letter in reversed(w.letters):
+            top = reflect(cd, letter, top)
+        top = tuple(-x for x in top)
+        orbit, frontier = {top}, [top]
+        while frontier:
+            mu = frontier.pop()
+            for j in range(1, cd.n + 1):
+                nu = reflect(cd, j, mu)
+                if nu not in orbit:
+                    orbit.add(nu)
+                    frontier.append(nu)
+        diagram = minuscule_weight_diagram(cd, i)
+        assert diagram == orbit, i
+        assert [mu for mu in diagram if min(mu) >= 0] == [top], i
 
 
 def test_trails_match_graph_c3(c3, c3_word):

@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from tropicone.monomial import unit
-from tropicone.rootsystem import CartanType, cartan_matrix
+from tropicone.rootsystem import CartanType, cartan_matrix, dual_cartan, positive_roots
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.stringcone import (
     CensusUncertified,
@@ -188,6 +189,31 @@ def test_dual_kostant_small_values(c3):
     assert dual_kostant_count(c3, (2, 0, 0)) == 1
     # alpha_1 + alpha_2 of the dual matrix is a root, so two partitions
     assert dual_kostant_count(c3, (1, 1, 0)) == 2
+
+
+def _knapsack_counts(roots, n, bound):
+    """Multisets of roots summing to m, for every m in [0, bound]^n, by unbounded knapsack."""
+    # lexicographic order puts m - root before m, so each root may repeat
+    box = list(product(range(bound + 1), repeat=n))
+    counts = {m: int(not any(m)) for m in box}
+    for root in roots:
+        for m in box:
+            prev = tuple(x - r for x, r in zip(m, root))
+            if min(prev) >= 0:
+                counts[m] += counts[prev]
+    return counts
+
+
+# 423 weights in all
+@pytest.mark.parametrize(
+    "name, bound",
+    [("A3", 5), ("B3", 5), ("C3", 5), ("D4", 4), ("F4", 4), ("B4", 4), ("G2", 8)],
+)
+def test_dual_kostant_matches_a_knapsack_count(name, bound):
+    cd = cartan_matrix(CartanType.parse(name))
+    counts = _knapsack_counts(positive_roots(dual_cartan(cd)), cd.n, bound)
+    for mv in weights_up_to(cd.n, bound):
+        assert dual_kostant_count(cd, mv) == counts[mv], mv
 
 
 def test_render_latex_and_json(c3, c3_word):
