@@ -3,8 +3,8 @@
 Subcommands: graph, cone, check, oracle. Exit codes: 0 success, 1 bad
 input (a usage error and an index outside [1, n] included), a failed check,
 the vertex cap of a graph build, running out of memory or an output path
-that cannot be written, 2 unsupported index without --force, 3 internal
-assertion failure.
+that cannot be written, 2 unsupported index without --force (oracle forces
+the cones it censuses, so it never exits 2), 3 internal assertion failure.
 Identical invocations produce byte-identical output; files are written
 atomically next to their final path.
 """
@@ -20,10 +20,10 @@ import tempfile
 
 from . import decograph, oracle, stringcone
 from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_graph, to_dot, to_json
-from .oracle import MixedSigns, NotTypeA
-from .rootsystem import CartanType, RootSystemError, cartan_matrix
+from .oracle import MixedSigns
+from .rootsystem import CartanType, cartan_matrix
 from .stringcone import dual_kostant_count, string_cone, weight_census, weights_up_to
-from .wordtools import LimitExceeded, WordError, enumerate_w0_words, parse_word
+from .wordtools import LimitExceeded, enumerate_w0_words, parse_word
 
 OUTDIR_ENV = "TROPICONE_OUTDIR"
 
@@ -138,8 +138,9 @@ def cmd_oracle(args) -> int:
         census_words = [words[0], words[len(words) // 3], words[2 * len(words) // 3], words[-1]]
     bound = args.census_bound
     mvecs = list(weights_up_to(cd.n, bound))
+    # forced: each count is checked against Kostant, so an unproven cone is tested, not trusted
     for w in census_words:
-        cone = string_cone(cd, w)
+        cone = string_cone(cd, w, force=True)
         for mv in mvecs:
             got = weight_census(cone, mv)
             want = dual_kostant_count(cd, mv)
@@ -172,10 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_word=True):
+    def common(p):
         p.add_argument("--type", required=True, help="Cartan type, e.g. C3")
-        if need_word:
-            p.add_argument("--word", required=True, help="comma-separated reduced word of w0")
+        p.add_argument("--word", required=True, help="comma-separated reduced word of w0")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--force", action="store_true", help="build even without a proven description")
 
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     except UnsupportedIndex as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (VertexCapExceeded, RootSystemError, WordError, NotTypeA, LimitExceeded, ValueError) as e:
+    except (VertexCapExceeded, LimitExceeded, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (GraphError, MixedSigns, AssertionError) as e:

@@ -12,10 +12,11 @@ Two oracles, deliberately sharing nothing with the graph builder:
   in type A, exact as a Laurent polynomial and computed by propagation:
   only the minors on its fixed rows are carried through the word, each
   updated per letter by Cauchy-Binet. It also recovers the positive integer
-  coefficients the graph never sees.
+  coefficients the graph never sees. The factors are totally positive, so
+  no term of any minor cancels and a coefficient <= 0 is a hard error.
 
 Monomials are exponent tuples, as in the graph; a Laurent polynomial is a
-dict from exponent tuple to its nonzero integer coefficient.
+dict from exponent tuple to its positive integer coefficient.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class NotTypeA(ValueError):
 
 
 class MixedSigns(RuntimeError):
-    """A minor expansion with both signs; the sign convention is broken."""
+    """A minor coefficient <= 0: the factors are totally positive, so the sign convention is broken."""
 
 
 # ---------------------------------------------------------------- trails
@@ -154,11 +155,7 @@ def _accumulate(out: dict, f: dict[int, int], poly: dict, k: int) -> None:
     for s, cf in f.items():
         for e, c in poly.items():
             e2 = e[:k] + (e[k] + s,) + e[k + 1 :]
-            v = out.get(e2, 0) + cf * c
-            if v:
-                out[e2] = v
-            else:
-                del out[e2]
+            out[e2] = out.get(e2, 0) + cf * c
 
 
 def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> dict[tuple[int, ...], int]:
@@ -172,9 +169,13 @@ def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> dict[tuple[int, 
     D_K(PF) = sum over J of D_J(P) * D_{J,K}(F): with the block [[a, b], [c, d]],
     a K holding p but not q becomes a*D_K + c*D_{K-p+q}, one holding q but not
     p becomes d*D_K + b*D_{K-q+p}, one holding both becomes (ad - bc)*D_K, and
-    one holding neither is unchanged. The result, {exponent tuple: coefficient},
-    is normalized to positive coefficients; a genuinely mixed-sign minor is a
-    hard error.
+    one holding neither is unchanged. The result is {exponent tuple: coefficient}.
+
+    Every minor of the block is 0, 1, t^-1 or t, and its determinant is 1, so
+    by Cauchy-Binet every coefficient is positive and no term ever cancels
+    (Fomin-Zelevinsky, Double Bruhat cells and total positivity, 1999). A
+    coefficient <= 0 therefore raises MixedSigns: it can only come from a
+    broken sign convention.
     """
     if cd.ctype.family != "A":
         raise NotTypeA(f"minor oracle needs type A, got {cd.ctype}")
@@ -207,11 +208,8 @@ def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> dict[tuple[int, 
         minors = {K: poly for K, poly in new.items() if poly}
     cols = sum(1 << col for col in range(i - 1)) | 1 << i
     minor = minors.get(cols, {})
-    coeffs = list(minor.values())
-    if coeffs and all(v < 0 for v in coeffs):
-        minor = {e: -c for e, c in minor.items()}
-    elif any(v < 0 for v in coeffs):
-        raise MixedSigns(f"minor for ({cd.ctype}, i={i}, word {w}) has mixed signs")
+    if any(v <= 0 for v in minor.values()):
+        raise MixedSigns(f"minor for ({cd.ctype}, i={i}, word {w}) has a coefficient <= 0")
     return minor
 
 

@@ -40,26 +40,15 @@ class ConeSystem:
         return self.word.N
 
 
-def half_potential_monomials(
-    cd: CartanData, w: ReducedWord, force: bool = False
-) -> dict[int, list[tuple[int, ...]]]:
-    """For each index i, the monomial set of its summand, in creation order."""
-    return {
-        i: list(build_graph(cd, w, i, force=force).vertices)
-        for i in range(1, cd.n + 1)
-    }
-
-
 def string_cone(cd: CartanData, w: ReducedWord, force: bool = False) -> ConeSystem:
-    """One inequality row per monomial over all i, deduplicated, ordered by i then creation."""
-    rows: list[tuple[int, tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = set()
-    for i, monomials in half_potential_monomials(cd, w, force=force).items():
-        for d in monomials:
-            if d not in seen:
-                seen.add(d)
-                rows.append((i, d))
-    return ConeSystem(cd, w, tuple(rows))
+    """One inequality row per monomial over all i, ordered by i then creation.
+
+    No row repeats. The summand for i is homogeneous of weight alpha_i under
+    the grading t_l -> beta_l: its source t_k has beta_k = alpha_i and every
+    A_j grades to 0. So the summands for distinct i share no monomial.
+    """
+    rows = tuple((i, d) for i in range(1, cd.n + 1) for d in build_graph(cd, w, i, force=force).vertices)
+    return ConeSystem(cd, w, rows)
 
 
 class CensusUncertified(ValueError):

@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import json
@@ -114,14 +115,43 @@ def test_out_of_memory_exits_1(capsys, monkeypatch):
 
 
 def test_uncertified_cone_exits_1(capsys, monkeypatch):
-    def without_first_row(cd, w):
-        cone = stringcone.string_cone(cd, w)
+    def without_first_row(cd, w, force):
+        cone = stringcone.string_cone(cd, w, force=force)
         return stringcone.ConeSystem(cd, w, cone.rows[1:])
 
     monkeypatch.setattr(cli, "string_cone", without_first_row)
     rc, out, err = run(capsys, "oracle", *C3_ARGS, "--census-bound", "1")
     assert rc == 1 and out == ""
     assert err == "error: census of (C3, word 2,3,2,1,2,3,2,3,1): no certificate that z_4 >= 0\n"
+
+
+def test_census_mismatch_is_reported(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "dual_kostant_count", lambda cd, mv: stringcone.dual_kostant_count(cd, mv) + 1)
+    rc, out, _ = run(capsys, "oracle", *C3_ARGS, "--census-bound", "1")
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["census_checked"] == len(doc["census_failures"]) == 4
+    for failure in doc["census_failures"]:
+        assert failure["word"] == [2, 3, 2, 1, 2, 3, 2, 3, 1]
+        assert sum(failure["mvec"]) <= 1
+        assert failure["kostant"] == failure["census"] + 1
+
+
+def test_closed_form_mismatch_exits_3(capsys, monkeypatch):
+    closed_form = decograph._initial_b_closed_form
+
+    def off_by_one(cd, w, i, k):
+        b = closed_form(cd, w, i, k)
+        return (b[0] + 1,) + b[1:]
+
+    monkeypatch.setattr(decograph, "_initial_b_closed_form", off_by_one)
+    rc, out, err = run(capsys, "cone", *C3_ARGS)
+    assert rc == 3 and out == ""
+    assert err.startswith("internal assertion failed: initial b mismatch for C3 i=1 word 2,3,2,1,2,3,2,3,1")
+    cd, w = cli._load("C3", C3_ARGS[3])
+    with pytest.raises(decograph.ClosedFormMismatch):
+        decograph.build_graph(cd, w, 2, force=True)
 
 
 def test_cone_text(capsys):
@@ -177,6 +207,15 @@ def test_oracle_single_word_g2(capsys):
     assert doc["status"] == "pass"
 
 
+@pytest.mark.parametrize("name, word, checked", [("F4", F4_WORD, 15), ("E6", E6_WORD, 28)])
+def test_oracle_forces_the_cones_it_censuses(capsys, name, word, checked):
+    # unproven indices, yet no exit 2: every count is checked against Kostant
+    rc, out, _ = run(capsys, "oracle", "--type", name, "--word", word)
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass" and doc["census_checked"] == checked
+
+
 def test_oracle_needs_word_flag(capsys):
     rc, _, err = run(capsys, "oracle", "--type", "A2")
     assert rc == 1
@@ -228,6 +267,23 @@ def test_readme_command_examples_run(capsys):
     assert commands
     for argv in commands:
         assert run(capsys, *argv[1:])[0] == 0, argv
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```", 2)[1]
+    lang, *lines = block.splitlines()
+    assert lang == "python"
+    namespace, shown = {}, []
+    for line in lines:
+        code, _, comment = line.partition("#")
+        if comment:
+            # a commented line shows the value of its expression
+            shown.append(eval(code, namespace))
+            assert shown[-1] == ast.literal_eval(comment.strip()), line
+        else:
+            exec(code, namespace)
+    assert shown == [(12, 14), 14]
 
 
 def test_outdir_env(capsys, tmp_path, monkeypatch):

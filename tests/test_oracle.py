@@ -59,6 +59,22 @@ def test_wrong_sign_block_gives_mixed_signs(a3, monkeypatch, block):
         typeA_minor_poly(a3, validate_word(a3, (2, 3, 1, 2, 1, 3)), 2)
 
 
+def test_negated_off_diagonal_block_raises_on_all_negative_minors(a3, monkeypatch):
+    # x_{-m}(t) conjugated by diag(1, -1, 1, ...): every minor comes out as
+    # plus or minus the true one, and the all-negative ones must not pass
+    a2 = cartan_matrix(CartanType.parse("A2"))
+    cases = [(cd, w, i) for cd in (a2, a3) for w in enumerate_w0_words(cd) for i in range(1, cd.n + 1)]
+    true = [typeA_minor_poly(*case) for case in cases]
+    monkeypatch.setattr(oracle, "_BLOCK", (({-1: 1}, {}), ({0: -1}, {1: 1})))
+    raised = 0
+    for case, poly in zip(cases, true):
+        try:
+            assert typeA_minor_poly(*case) == poly, case
+        except MixedSigns:
+            raised += 1
+    assert (len(cases), raised) == (52, 20)
+
+
 def _numeric_product(n, letters, ts):
     """x_{-i_1}(t_1) ... x_{-i_N}(t_N) as an explicit matrix of fractions."""
     size = n + 1

@@ -5,13 +5,12 @@ from itertools import product
 import pytest
 
 from tropicone.monomial import unit
-from tropicone.rootsystem import CartanType, cartan_matrix, dual_cartan, positive_roots
+from tropicone.rootsystem import CartanType, cartan_matrix, dual_cartan, positive_roots, simple_root
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.stringcone import (
     CensusUncertified,
     ConeSystem,
     dual_kostant_count,
-    half_potential_monomials,
     orthant_certificate,
     render,
     string_cone,
@@ -25,7 +24,9 @@ from fixture_data import ev
 
 
 def test_half_potential_monomials_c3(c3, c3_word):
-    mons = half_potential_monomials(c3, c3_word)
+    mons = {}
+    for i, d in string_cone(c3, c3_word).rows:
+        mons.setdefault(i, []).append(d)
     assert set(mons) == {1, 2, 3}
     assert mons[1] == [unit(9, 9)]
     assert mons[3] == [unit(9, 8)]
@@ -118,6 +119,27 @@ def test_census_forced_exceptional_cones(name, bound, seeded):
         assert weight_census(cone, mvec) == dual_kostant_count(cd, mvec), mvec
 
 
+def grading_cases():
+    for name in ("A3", "B3", "C3", "G2"):
+        cd = cartan_matrix(CartanType.parse(name))
+        for w in enumerate_w0_words(cd):
+            yield cd, w
+    for name, letters in [("D4", dict(RANK_FOUR_WORDS)["D4"]), *fx.EXCEPTIONAL_WORDS.items()]:
+        cd = cartan_matrix(CartanType.parse(name))
+        yield cd, validate_word(cd, letters)
+
+
+def test_every_monomial_grades_to_alpha_i():
+    # t_l -> beta_l makes the summand for i homogeneous of weight alpha_i, so
+    # the summands share no monomial and string_cone needs no deduplication
+    for cd, w in grading_cases():
+        rows = string_cone(cd, w, force=True).rows
+        assert len({d for _, d in rows}) == len(rows)
+        for i, d in rows:
+            grade = tuple(sum(dl * beta[r] for dl, beta in zip(d, w.beta)) for r in range(cd.n))
+            assert grade == simple_root(cd.n, i), (str(cd.ctype), w.letters, i, d)
+
+
 def unrolled_certificate(cone, cert):
     """Per position l, multipliers lam with e_l = sum_r lam[r] * row_r, read off cert."""
     rows = [row for _, row in cone.rows]
@@ -158,6 +180,32 @@ def test_orthant_certificate_unrolls_to_nonnegative_row_combinations():
             assert all(x >= 0 for x in lam.values())
             total = [sum(x * cone.rows[r][1][k] for r, x in lam.items()) for k in range(cone.N)]
             assert total == [int(k == l) for k in range(cone.N)], (str(cone.cd.ctype), cone.word, l)
+
+
+def _with_rows(cone, *extra):
+    """The cone plus rows given as {position: coefficient}, 1-based."""
+    rows = [(0, tuple(e.get(l, 0) for l in range(1, cone.N + 1))) for e in extra]
+    return ConeSystem(cone.cd, cone.word, cone.rows + tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "extra, mvec",
+    [
+        # the cone's one point has z_4 = 1, z_9 = 0; z_2 - z_4 + z_9 >= 0 then
+        # leaves letter class 1 no candidate in the fixpoint filter
+        (({2: 1, 4: -1, 9: 1},), (1, 0, 0)),
+        # each row alone leaves one of the two points; both rows span two
+        # letter classes, so only the frontier merge finds none left
+        (({2: -1, 3: 1, 7: -1}, {3: -1, 4: 1, 6: 1}), (0, 1, 1)),
+    ],
+    ids=["empty-class", "empty-frontier"],
+)
+def test_census_counts_zero_points(c3, c3_word, extra, mvec):
+    cone = string_cone(c3, c3_word)
+    assert weight_census(cone, mvec) > 0
+    cut = _with_rows(cone, *extra)
+    orthant_certificate(cut)  # extra rows never cost the certificate
+    assert weight_census(cut, mvec) == 0
 
 
 def test_census_refuses_an_uncertified_cone(c3, c3_word):
