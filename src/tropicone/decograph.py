@@ -19,9 +19,16 @@ recursion is affine in d with a linear part that depends on the word alone,
 so b(d / A_j) - b(d) = e_j - e_{j+} is a fact about (word, j): it is proven
 once per word, and a failure, a convention bug, always raises, forced build
 or not. From then on b is a function of d, so a vertex keeps the b it was
-first reached with. The source b is checked against a closed form, and
-verify_graph recomputes b from the recursion at every vertex of a finished
-graph, independently of the build.
+first reached with. The source b is checked against a closed form read off
+the coroot sequence beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}), computed
+once per word, and verify_graph recomputes b from the recursion at every
+vertex of a finished graph, independently of the build.
+
+Inside a build, vertices get integer ids in creation order, which is also
+the FIFO order, and are looked up by one integer key per d, the entries of d
+packed into signed bit fields. The key is linear in d, so an edge computes
+key(d / A_j) = key(d) - key(A_j), and the d tuple is built only for a new
+vertex. The keys stay inside the build: DecoGraph maps d tuples to b tuples.
 
 The quantity L = sum_t t * b_t drops by exactly j+ - j along every edge,
 which is what makes the worklist terminate and the graph acyclic.
@@ -30,9 +37,9 @@ which is what makes the worklist terminate and the graph acyclic.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from operator import mul, sub
 
 from .monomial import a_monomial, lowest_term, render, unit
@@ -41,12 +48,13 @@ from .rootsystem import (
     CartanType,
     RootSystemError,
     cartan_matrix,
+    dual_cartan,
     fundamental_weight,
     max_coroot_coefficients,
     minuscule_indices,
     reflect,
 )
-from .wordtools import ReducedWord, WordError, source_index
+from .wordtools import ReducedWord, WordError, _beta_sequence, source_index
 
 
 class GraphError(RuntimeError):
@@ -128,25 +136,33 @@ def b_from_d(cd: CartanData, w: ReducedWord, i: int, d: tuple[int, ...]) -> tupl
     return tuple(b)
 
 
-def _initial_b_closed_form(cd: CartanData, w: ReducedWord, i: int, k: int) -> tuple[int, ...]:
-    """b at the source, via suffix reflections instead of the recursion.
+def _coroot_sequence(cd: CartanData, w: ReducedWord) -> tuple[tuple[int, ...], ...]:
+    """beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}) in simple-coroot coordinates, kept on the word.
 
-    Above k the pairing is taken against s_{i_{t+1}} ... s_{i_N} s_i Lambda_i,
-    below k against s_{i_{t+1}} ... s_{i_N} Lambda_i, and b_k = 0.
+    This is the beta sequence of the dual root system. When the dual matrix is
+    the one the word was validated for (a symmetric Cartan matrix), that is
+    the word's own beta sequence, which validation already computed.
     """
-    N = w.N
-    out = [0] * N
-    mu = reflect(cd, i, fundamental_weight(cd.n, i))
-    for t in range(N, k, -1):
-        out[t - 1] = mu[w.letter(t) - 1]
-        mu = reflect(cd, w.letter(t), mu)
-    nu = fundamental_weight(cd.n, i)
-    for t in range(N, 0, -1):
-        val = nu[w.letter(t) - 1]
-        nu = reflect(cd, w.letter(t), nu)
-        if t < k:
-            out[t - 1] = val
-    return tuple(out)
+    key = ("coroots", cd)
+    seq = w.cache.get(key)
+    if seq is None:
+        dual = dual_cartan(cd)
+        seq = w.cache[key] = w.beta if dual == w.cd else _beta_sequence(dual, w.letters)
+    return seq
+
+
+def _initial_b_closed_form(cd: CartanData, w: ReducedWord, i: int, k: int) -> tuple[int, ...]:
+    """b at the source, read off the coroot sequence instead of the recursion.
+
+    b_t = <beta_t^vee, Lambda_i> below k, b_k = 0, and above k
+    b_t = <beta_t^vee, s_i Lambda_i> = (beta_t^vee)_i - sum_c (beta_t^vee)_c a_{c,i},
+    since <h_{i_t}, s_{i_{t+1}} ... s_{i_N} mu> = <beta_t^vee, mu>.
+    """
+    coroots = _coroot_sequence(cd, w)
+    column = [row[i - 1] for row in cd.rows]
+    below = tuple(c[i - 1] for c in coroots[: k - 1])
+    above = tuple(c[i - 1] - sum(map(mul, c, column)) for c in coroots[k:])
+    return below + (0,) + above
 
 
 def initial_vertex(cd: CartanData, w: ReducedWord, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -177,18 +193,17 @@ def _condition_b(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...], j: int)
 
 
 def firing_labels(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """All positions that fire from (d, b), ascending."""
-    N = w.N
+    """All positions that fire from (d, b), ascending; only the nonzero entries of d can."""
+    jplus = w.jplus
+    N = len(jplus)
     out = []
-    for j, jp in enumerate(w.jplus, start=1):
-        if jp > N:
-            continue
-        dj = d[j - 1]
-        if dj <= 0 or b[jp - 1] <= 0:
+    for j0 in compress(range(N), d):
+        dj, jp = d[j0], jplus[j0]
+        if dj <= 0 or jp > N or b[jp - 1] <= 0:
             continue
         djp = d[jp - 1]
-        if djp < dj or (djp == dj and _condition_b(w, d, b, j)):
-            out.append(j)
+        if djp < dj or (djp == dj and _condition_b(w, d, b, j0 + 1)):
+            out.append(j0 + 1)
     return out
 
 
@@ -199,8 +214,9 @@ def firing_labels_minuscule(w: ReducedWord, d: tuple[int, ...]) -> list[int]:
 
 
 def _firing_table(cd: CartanData, w: ReducedWord, i: int, d0: tuple[int, ...], b0: tuple[int, ...]) -> tuple:
-    """The exponents of A_j for every j (None when j+ > N), kept on the word.
+    """Per position j, (j+, the exponents of A_j at j..j+), or None when j+ > N; kept on the word.
 
+    A_j is zero outside its window j..j+, so the window is all an edge needs.
     Proves the shift identity once per word, at the source (d0, b0): by the
     affine argument it then holds at every vertex, for every i.
     """
@@ -223,9 +239,40 @@ def _firing_table(cd: CartanData, w: ReducedWord, i: int, d0: tuple[int, ...], b
                 f"b update for {cd.ctype} word {w} i={i} at j={j} from {render(d0)}: "
                 f"shifted {shifted}, recursion on {render(d2)} gives {expected}"
             )
-        table.append(a)
+        table.append((jp, a[j - 1 : jp]))
     table = w.cache["a_monomials"] = tuple(table)
     return table
+
+
+def _key_width(max_vertices: int) -> int:
+    """Bits per field of a vertex key: a signed field that holds +-(3 * max_vertices + 1).
+
+    An edge changes an entry by at most 3: the entries of A_j are 1 and the
+    a_{c,i_j} of a finite Cartan matrix, never below -3. A build stores
+    V <= max(max_vertices, 1) vertices, and each is reached from the source,
+    whose entries are 0 and 1, along a BFS-tree path of at most V - 1 edges.
+    So an entry of a vertex, or of a candidate one edge further, has size at
+    most 3 * V + 1. Fields of size below 2^(width - 1) make _pack injective:
+    where two packed vectors first differ, the difference of the fields is
+    below 2^width in size and would have to be a nonzero multiple of it.
+    """
+    return (3 * max(max_vertices, 1) + 1).bit_length() + 1
+
+
+def _pack(values, width: int, start: int = 0) -> int:
+    """sum_t values[t] * 2^(width * (start + t)): one integer per exponent vector."""
+    return sum(x << (width * t) for t, x in enumerate(values, start=start))
+
+
+def _a_keys(w: ReducedWord, table: tuple, width: int) -> tuple:
+    """_pack(A_j) for every entry of the firing table, kept on the word per width."""
+    name = ("a_keys", width)
+    keys = w.cache.get(name)
+    if keys is None:
+        keys = w.cache[name] = tuple(
+            None if e is None else _pack(e[1], width, j) for j, e in enumerate(table)
+        )
+    return keys
 
 
 def build_graph(
@@ -245,6 +292,11 @@ def build_graph(
     (type, i) without a proven description. A word validated for another
     Cartan matrix raises WordError; reaching max_vertices raises
     VertexCapExceeded.
+
+    Vertex ids follow creation order, so the FIFO queue is a running id. A
+    vertex is found by its key _pack(d, width), with width from _key_width;
+    an edge subtracts key(A_j), and only a new vertex builds its d tuple,
+    from its parent's through the window of A_j.
     """
     if w.cd != cd:
         raise WordError(f"word {w} was validated for {w.cd.ctype}, not {cd.ctype}")
@@ -256,28 +308,34 @@ def build_graph(
 
     d0, b0 = initial_vertex(cd, w, i)
     table = _firing_table(cd, w, i, d0, b0)
-    jplus = w.jplus
-    vertices = {d0: b0}
-    # each d tuple once: an edge holds the stored key, not an equal copy
-    keys = {d0: d0}
+    width = _key_width(max_vertices)
+    a_keys = _a_keys(w, table, width)
+    key0 = _pack(d0, width)
+    ids = {key0: 0}
+    ds, bs, keys = [d0], [b0], [key0]
     edges = []
-    queue = deque([d0])
 
-    while queue:
-        d = queue.popleft()
-        b = vertices[d]
+    v = 0
+    while v < len(ds):
+        d, b, key = ds[v], bs[v], keys[v]
+        v += 1
         for j in firing_labels(w, d, b):
-            d2 = tuple(map(sub, d, table[j - 1]))
-            key = keys.setdefault(d2, d2)
-            if key is d2:
-                if len(vertices) >= max_vertices:
+            key2 = key - a_keys[j - 1]
+            u = ids.get(key2)
+            if u is None:
+                if len(ds) >= max_vertices:
                     raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})")
+                u = ids[key2] = len(ds)
+                jp, window = table[j - 1]
+                ds.append(d[: j - 1] + tuple(map(sub, d[j - 1 : jp], window)) + d[jp:])
                 b2 = list(b)
                 b2[j - 1] += 1
-                b2[jplus[j - 1] - 1] -= 1
-                vertices[d2] = tuple(b2)
-                queue.append(d2)
-            edges.append((d, j, key))
+                b2[jp - 1] -= 1
+                bs.append(tuple(b2))
+                keys.append(key2)
+            # an edge holds the stored d tuple, not an equal copy
+            edges.append((d, j, ds[u]))
+    vertices = dict(zip(ds, bs))
 
     return DecoGraph(
         cd=cd,
@@ -323,7 +381,9 @@ def verify_graph(g: DecoGraph) -> dict:
     # fail here and carry nothing for the checks below
     named = [e for e in g.edges if 0 < e[1] <= w.N and w.jplus[e[1] - 1] <= w.N]
     bad_div = len(g.edges) - len(named)
-    bad_div += sum(dst != tuple(map(sub, src, a_monomial(cd, w, j))) for src, j, dst in named)
+    # each A_j once per call, from a_monomial rather than the build's cached table
+    a = {j: a_monomial(cd, w, j) for j in {e[1] for e in named}}
+    bad_div += sum(dst != tuple(map(sub, src, a[j])) for src, j, dst in named)
     add("edges_divide_by_a", not bad_div, f"{bad_div} bad edges")
 
     bad_b = []

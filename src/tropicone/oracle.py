@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import sub
 
-from .decograph import b_from_d, build_graph
+from .decograph import build_graph
 from .monomial import render
 from .rootsystem import (
     CartanData,
@@ -112,22 +112,6 @@ def _trails(cd: CartanData, w: ReducedWord, i: int) -> list[tuple[tuple[int, ...
 def minuscule_trail_monomials(cd: CartanData, w: ReducedWord, i: int) -> set[tuple[int, ...]]:
     """The monomial set read off from the trails alone."""
     return {ds for _, ds in _trails(cd, w, i)}
-
-
-def crosscheck_b_equals_c(cd: CartanData, w: ReducedWord, i: int) -> dict:
-    """For every trail, the b recursion on its d-vector must return its c-vector."""
-    trails = _trails(cd, w, i)
-    mismatches = []
-    for cs, ds in trails:
-        b = b_from_d(cd, w, i, ds)
-        if b != cs:
-            mismatches.append({"d": list(ds), "c": list(cs), "b": list(b)})
-    return {
-        "input": {"type": str(cd.ctype), "word": list(w.letters), "i": i},
-        "trails": len(trails),
-        "status": "pass" if not mismatches else "fail",
-        "mismatches": mismatches,
-    }
 
 
 # ---------------------------------------------------------------- type A minors

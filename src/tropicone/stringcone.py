@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from numbers import Integral
 from operator import sub
 
@@ -231,28 +231,49 @@ def dual_kostant_count(cd: CartanData, mvec) -> int:
     return _kostant(cd, 0, _weight(cd.n, mvec))
 
 
-def _row_text(row: tuple[int, ...]) -> str:
-    terms = []
-    for l, c in enumerate(row, start=1):
-        if c == 0:
-            continue
+class _Terms(dict):
+    """The text of coefficient c times z_l, as a leading or a later term, made on first use.
+
+    A cone repeats few (l, c) pairs over its rows, so each text is built once per cone.
+    """
+
+    def __init__(self, l: int, leading: bool) -> None:
+        super().__init__()
+        self.l, self.leading = l, leading
+
+    def __missing__(self, c: int) -> str:
         mag = abs(c)
-        body = f"z_{l}" if mag == 1 else f"{mag}z_{l}"
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
+        body = f"z_{self.l}" if mag == 1 else f"{mag}z_{self.l}"
+        if self.leading:
+            text = body if c > 0 else f"-{body}"
         else:
-            terms.append(("+ " if c > 0 else "- ") + body)
-    if not terms:
-        return "0"
-    return " ".join(terms)
+            text = (" + " if c > 0 else " - ") + body
+        self[c] = text
+        return text
+
+
+def _row_texts(cone: ConeSystem) -> list[str]:
+    """The left-hand side of every row, walking only its nonzero coefficients."""
+    columns = range(cone.N)
+    leading = [_Terms(l, True) for l in range(1, cone.N + 1)]
+    later = [_Terms(l, False) for l in range(1, cone.N + 1)]
+    texts = []
+    for _, row in cone.rows:
+        nonzero = compress(columns, row)
+        first = next(nonzero, None)
+        if first is None:
+            texts.append("0")
+        else:
+            texts.append(leading[first][row[first]] + "".join([later[l][row[l]] for l in nonzero]))
+    return texts
 
 
 def render(cone: ConeSystem, fmt: str = "text") -> str:
     """The system as text, LaTeX or JSON; one row per line for the text forms."""
     if fmt == "text":
-        return "\n".join(f"{_row_text(row)} >= 0" for _, row in cone.rows) + "\n"
+        return "\n".join([text + " >= 0" for text in _row_texts(cone)]) + "\n"
     if fmt == "latex":
-        lines = [f"{_row_text(row)} &\\geq 0 \\\\" for _, row in cone.rows]
+        lines = [f"{text} &\\geq 0 \\\\" for text in _row_texts(cone)]
         return "\\begin{align*}\n" + "\n".join(lines) + "\n\\end{align*}\n"
     if fmt == "json":
         return json.dumps(to_json_dict(cone), indent=2) + "\n"

@@ -11,11 +11,12 @@ from tropicone.monomial import unit
 from tropicone.rootsystem import CartanType, cartan_matrix
 from tropicone.wordtools import enumerate_w0_words, validate_word
 from tropicone.decograph import build_graph, firing_labels, firing_labels_minuscule, verify_graph
-from tropicone.oracle import agreement_report, crosscheck_b_equals_c
+from tropicone.oracle import agreement_report
 from tropicone.stringcone import dual_kostant_count, render, string_cone, weight_census, weights_up_to
 
 import fixture_data as fx
 from fixture_data import ev
+from references import crosscheck_b_equals_c
 
 
 @contextmanager

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import product
 from operator import sub
 
 import pytest
@@ -12,8 +14,10 @@ from tropicone.rootsystem import (
     fundamental_weight,
     minuscule_indices,
     reflect,
+    reflect_root,
+    simple_root,
 )
-from tropicone.wordtools import WordError, enumerate_w0_words, validate_word
+from tropicone.wordtools import WordError, enumerate_w0_words, source_index, validate_word
 from tropicone.decograph import (
     BUpdateMismatch,
     ClosedFormMismatch,
@@ -35,6 +39,7 @@ from tropicone.decograph import (
 
 import fixture_data as fx
 from fixture_data import ev
+from references import reflection_closed_form, scan_firing_labels, tuple_keyed_graph
 
 
 def test_supported_classical():
@@ -109,6 +114,47 @@ def test_b_from_d_fixtures(c3, c3_word, d4, d4_word, g2, g2_word_a):
 def test_initial_vertex(c3, c3_word, g2, g2_word_a):
     assert initial_vertex(c3, c3_word, 2) == (unit(9, 1), (0, 0, 1, 1, 0, 1, 2, 1, 1))
     assert initial_vertex(g2, g2_word_a, 1) == (unit(6, 1), (0, 0, 1, 3, 2, 3))
+
+
+def random_word(cd, rng):
+    """A seeded reduced word of w0: extend the prefix w by a letter j with w(alpha_j) > 0."""
+    letters = []
+    while True:
+        allowed = []
+        for j in range(1, cd.n + 1):
+            root = simple_root(cd.n, j)
+            for letter in reversed(letters):
+                root = reflect_root(cd, letter, root)
+            if min(root) >= 0:
+                allowed.append(j)
+        if not allowed:
+            return validate_word(cd, letters)
+        letters.append(rng.choice(allowed))
+
+
+def test_closed_form_matches_reflections_on_every_rank_two_and_three_word():
+    cases = 0
+    for name in ("A3", "B3", "C3", "G2"):
+        cd = cartan_matrix(CartanType.parse(name))
+        for w in enumerate_w0_words(cd):
+            for i in range(1, cd.n + 1):
+                k = source_index(w, i)
+                assert decograph._initial_b_closed_form(cd, w, i, k) == reflection_closed_form(cd, w, i, k), (
+                    name, str(w), i,
+                )
+                cases += 1
+    assert cases == 304
+
+
+@pytest.mark.parametrize("name", ["B4", "C4", "D4", "F4", "E6", "E7", "E8"])
+def test_closed_form_matches_reflections_on_seeded_words(name):
+    cd = cartan_matrix(CartanType.parse(name))
+    rng = random.Random(name)
+    for _ in range(3):
+        w = random_word(cd, rng)
+        for i in range(1, cd.n + 1):
+            k = source_index(w, i)
+            assert decograph._initial_b_closed_form(cd, w, i, k) == reflection_closed_form(cd, w, i, k), (str(w), i)
 
 
 def test_firing_labels(c3, c3_word):
@@ -233,6 +279,46 @@ def test_edges_hold_the_stored_vertex_keys(c3, c3_word):
     for g in (g, build_graph(e6, next(enumerate_w0_words(e6, limit=1)), 3, force=True)):
         keys = {id(d) for d in g.vertices}
         assert all(id(src) in keys and id(dst) in keys for src, _, dst in g.edges)
+
+
+def graph_cases():
+    c3 = cartan_matrix(CartanType.parse("C3"))
+    g2 = cartan_matrix(CartanType.parse("G2"))
+    e6 = cartan_matrix(CartanType.parse("E6"))
+    cases = [(c3, validate_word(c3, fx.C3_WORD), i) for i in (1, 2, 3)]
+    cases += [(g2, validate_word(g2, letters), i) for letters in (fx.G2_WORD_A, fx.G2_WORD_B) for i in (1, 2)]
+    cases.append((e6, next(enumerate_w0_words(e6, limit=1)), 3))
+    seeded = validate_word(e6, fx.EXCEPTIONAL_WORDS["E6"])
+    return cases + [(e6, seeded, i) for i in range(1, 7)]
+
+
+def test_build_matches_a_tuple_keyed_bfs():
+    for cd, w, i in graph_cases():
+        g = build_graph(cd, w, i, force=True)
+        vertices, edges = tuple_keyed_graph(cd, w, i)
+        assert list(g.vertices.items()) == vertices, (str(cd.ctype), str(w), i)
+        assert g.edges == edges, (str(cd.ctype), str(w), i)
+        for d, b in vertices:
+            assert firing_labels(w, d, b) == scan_firing_labels(w, d, b), d
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_key_width_holds_every_entry_a_build_can_reach(cap):
+    width = decograph._key_width(cap)
+    bound = 3 * cap + 1
+    assert 2 ** (width - 1) > bound
+    values = range(-bound, bound + 1)
+    keys = {decograph._pack(v, width) for v in product(values, repeat=3)}
+    assert len(keys) == len(values) ** 3
+
+
+def test_a_cap_that_just_fits_gives_the_same_graph(c3, c3_word):
+    # a small cap means narrow key fields: the build must not merge distinct vertices
+    g = build_graph(c3, c3_word, 2)
+    tight = build_graph(c3, c3_word, 2, max_vertices=len(g.vertices))
+    assert list(tight.vertices.items()) == list(g.vertices.items()) and tight.edges == g.edges
+    with pytest.raises(VertexCapExceeded):
+        build_graph(c3, c3_word, 2, max_vertices=len(g.vertices) - 1)
 
 
 def test_vertex_cap(c3, c3_word):

@@ -19,11 +19,12 @@ from tropicone.oracle import (
     MixedSigns,
     NotTypeA,
     agreement_report,
-    crosscheck_b_equals_c,
     minuscule_trail_monomials,
     minuscule_weight_diagram,
     typeA_minor_poly,
 )
+
+from references import crosscheck_b_equals_c
 
 
 def test_a1_minor_is_single_variable():
