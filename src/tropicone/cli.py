@@ -35,6 +35,13 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _out_arg(value: str) -> str:
+    """An --out value; an empty one names no file, so it is a usage error."""
+    if not value:
+        raise argparse.ArgumentTypeError("must name a file")
+    return value
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -176,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--type", required=True, help="Cartan type, e.g. C3")
         p.add_argument("--word", required=True, help="comma-separated reduced word of w0")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("--out", type=_out_arg, default=None, help="output file (default stdout)")
         p.add_argument("--force", action="store_true", help="build even without a proven description")
 
     g = sub.add_parser("graph", help="build the monomial graph for one index")
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--all-words", action="store_true", help="sweep every reduced word")
     o.add_argument("--word-limit", type=int, default=100000)
     o.add_argument("--census-bound", type=int, default=2, help="max letter-sum for the census")
-    o.add_argument("--out", default=None)
+    o.add_argument("--out", type=_out_arg, default=None)
     o.set_defaults(func=cmd_oracle)
 
     return parser
@@ -228,7 +235,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 1
     except OSError as e:
-        target = _out_path(args.out) if args.out else "stdout"
+        target = "stdout" if args.out is None else _out_path(args.out)
         print(f"error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
         return 1
 

@@ -87,25 +87,20 @@ def _trails(cd: CartanData, w: ReducedWord, i: int) -> list[tuple[tuple[int, ...
     target = tuple(-x for x in reflect(cd, i, fundamental_weight(cd.n, i)))
     alphas = {j: simple_root_weight(cd, j) for j in set(w.letters)}
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    cs: list[int] = []
-    ds: list[int] = []
-
-    def rec(k: int, gamma: tuple[int, ...]) -> None:
+    # depth first on an explicit stack: a nested recursive function would be a
+    # reference cycle holding w; c = 1 is pushed first so that c = 0 is taken first
+    stack = [(1, start, (), ())]
+    while stack:
+        k, gamma, cs, ds = stack.pop()
         if k > w.N:
             if gamma == target:
-                out.append((tuple(cs), tuple(ds)))
-            return
+                out.append((cs, ds))
+            continue
         letter = w.letter(k)
-        for c in (0, 1):
+        for c in (1, 0):
             nxt = tuple(map(sub, gamma, alphas[letter])) if c else gamma
             if nxt in weights:
-                cs.append(c)
-                ds.append(nxt[letter - 1] + c)
-                rec(k + 1, nxt)
-                cs.pop()
-                ds.pop()
-
-    rec(1, start)
+                stack.append((k + 1, nxt, cs + (c,), ds + (nxt[letter - 1] + c,)))
     return out
 
 

@@ -7,7 +7,9 @@ letter sums are counted against the Kostant partition function of the dual
 root system. The count is exact: the rows themselves are first shown to
 imply z >= 0, by an integer chain of rows found once per cone, so each
 letter class ranges over the nonnegative compositions of its sum. A cone
-whose rows do not yield that chain is refused, not counted.
+whose rows do not yield that chain is refused, not counted. The classes are
+merged into a frontier of partial row sums under one pruning rule: a partial
+sum stays while the later classes' maxima could still bring every row to 0.
 """
 
 from __future__ import annotations
@@ -158,14 +160,13 @@ def weight_census(cone: ConeSystem, mvec) -> int:
     certificate raises CensusUncertified; no box is assumed.
 
     Each letter class keeps only its candidates' contributions to every row,
-    never the points. A fixpoint filter drops a candidate once some row stays
-    negative even when every other class gives that row its maximum; for a
-    row supported inside one class this is the exact row check. The classes
-    are then merged one at a time, fewest candidates first, into a frontier
-    of partial row sums. After each merge an entry survives only while it
-    could still reach every row's bound with the later classes' maxima; at
-    the last merge that is the exact check, so memory is bounded by the
-    surviving frontier rather than by the product of the classes.
+    never the points, and their row-wise maxima, taken once. The classes are
+    merged one at a time, fewest candidates first, into a frontier of partial
+    row sums. After each merge an entry survives only while the later
+    classes' maxima could still bring every row to 0. That is the one pruning
+    rule: a candidate no completion can use leaves at its own class's merge,
+    and at the last merge the rule is the exact row check. Memory is bounded
+    by the surviving frontier rather than by the product of the classes.
     """
     mv = _weight(cone.cd.n, mvec)
     if sum(mv) == 0:
@@ -173,25 +174,12 @@ def weight_census(cone: ConeSystem, mvec) -> int:
     orthant_certificate(cone)
     contribs = [_compositions(m_t, len(block)) @ block for m_t, block in zip(mv, _class_blocks(cone))]
 
-    # one row per surviving candidate, all classes stacked in order; cls names its class
-    cand = np.concatenate(contribs)
-    cls = np.repeat(np.arange(len(contribs)), [len(c) for c in contribs])
-    while True:
-        counts = np.bincount(cls, minlength=len(contribs))
-        if not counts.all():
-            return 0
-        best = np.maximum.reduceat(cand, np.cumsum(counts) - counts, axis=0)
-        keep = (cand + (best.sum(axis=0) - best)[cls] >= 0).all(axis=1)
-        if keep.all():
-            break
-        cand, cls = cand[keep], cls[keep]
-
-    rest = best.sum(axis=0)
-    frontier = np.zeros((1, cand.shape[1]), dtype=np.int64)
-    for k in np.argsort(counts, kind="stable"):
+    best = [c.max(axis=0) for c in contribs]
+    rest = sum(best)
+    frontier = np.zeros((1, len(rest)), dtype=np.int64)
+    for k in np.argsort([len(c) for c in contribs], kind="stable"):
         rest -= best[k]
-        block = cand[cls == k]
-        frontier = (frontier[:, None, :] + block[None, :, :]).reshape(-1, frontier.shape[1])
+        frontier = (frontier[:, None, :] + contribs[k][None, :, :]).reshape(-1, len(rest))
         frontier = frontier[(frontier + rest >= 0).all(axis=1)]
         if frontier.shape[0] == 0:
             return 0

@@ -3,13 +3,14 @@
 Each one recomputes something the package computes faster, the slow way and
 without sharing the package's shortcut: the source b by chains of
 reflections, the firing rule by a scan over every position, the graph by a
-BFS keyed by the d tuples themselves, and b at the ends of the i-trails by
-the recursion.
+BFS keyed by the d tuples themselves, b at the ends of the i-trails by
+the recursion, and the census by testing every row at every candidate point.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import product
 from operator import sub
 
 from tropicone.decograph import _condition_b, b_from_d, initial_vertex
@@ -90,3 +91,30 @@ def crosscheck_b_equals_c(cd, w, i):
         "status": "pass" if not mismatches else "fail",
         "mismatches": mismatches,
     }
+
+
+def compositions(total, size):
+    """The nonnegative integer tuples of the given size summing to total."""
+    if size == 1:
+        yield (total,)
+        return
+    for x in range(total + 1):
+        for rest in compositions(total - x, size - 1):
+            yield (x, *rest)
+
+
+def brute_force_census(cone, mvec):
+    """The cone's lattice points with letter sums mvec, each row checked at each point.
+
+    The points range over the product, per letter t, of the nonnegative
+    compositions of mvec[t-1] over the positions carrying t.
+    """
+    classes = [[l for l, t in enumerate(cone.word.letters) if t == s] for s in range(1, cone.cd.n + 1)]
+    count = 0
+    for parts in product(*(compositions(m, len(pos)) for m, pos in zip(mvec, classes))):
+        z = [0] * cone.N
+        for pos, part in zip(classes, parts):
+            for l, x in zip(pos, part):
+                z[l] = x
+        count += all(sum(c * x for c, x in zip(row, z)) >= 0 for _, row in cone.rows)
+    return count

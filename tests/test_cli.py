@@ -254,6 +254,17 @@ def test_unwritable_out_exits_1(capsys, tmp_path, target):
     assert not list(tmp_path.rglob(".tropicone-*"))
 
 
+@pytest.mark.parametrize("command", [["cone", *C3_ARGS], ["oracle", "--type", "A2", "--all-words"]])
+def test_empty_out_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    rc, out, err = run(capsys, *command, "--out", "")
+    assert rc == 1 and out == ""
+    assert "argument --out: must name a file" in err
+    assert not list(tmp_path.rglob(".tropicone-*"))
+
+
 def test_parsed_flags_do_not_leak_between_calls(capsys):
     argv = ["graph", "--type", "F4", "--word", F4_WORD, "--i", "2", "--format", "json"]
     assert run(capsys, *argv, "--force")[0] == 0

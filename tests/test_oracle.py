@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from tropicone.oracle import (
     typeA_minor_poly,
 )
 
+import fixture_data as fx
 from references import crosscheck_b_equals_c
 
 
@@ -195,6 +198,22 @@ def test_trails_match_graph_d4(d4, d4_word):
     for i in (1, 3, 4):
         mons = minuscule_trail_monomials(d4, d4_word, i)
         assert mons == set(build_graph(d4, d4_word, i).vertices)
+
+
+@pytest.mark.parametrize("consume", [minuscule_trail_monomials, build_graph], ids=["trails", "graph"])
+def test_word_freed_without_cyclic_gc(d4, consume):
+    # reference counting alone must free the word and its cache: no call leaves a cycle through it
+    w = validate_word(d4, fx.D4_WORD)
+    ref = weakref.ref(w)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert consume(d4, w, 1)
+        del w
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_crosscheck_b_equals_c(c3, c3_word, d4, d4_word):

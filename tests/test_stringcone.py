@@ -21,6 +21,7 @@ from tropicone.stringcone import (
 
 import fixture_data as fx
 from fixture_data import ev
+from references import brute_force_census
 
 
 def test_half_potential_monomials_c3(c3, c3_word):
@@ -192,7 +193,7 @@ def _with_rows(cone, *extra):
     "extra, mvec",
     [
         # the cone's one point has z_4 = 1, z_9 = 0; z_2 - z_4 + z_9 >= 0 then
-        # leaves letter class 1 no candidate in the fixpoint filter
+        # holds at no candidate of letter class 1, the other classes being 0
         (({2: 1, 4: -1, 9: 1},), (1, 0, 0)),
         # each row alone leaves one of the two points; both rows span two
         # letter classes, so only the frontier merge finds none left
@@ -206,6 +207,30 @@ def test_census_counts_zero_points(c3, c3_word, extra, mvec):
     cut = _with_rows(cone, *extra)
     orthant_certificate(cut)  # extra rows never cost the certificate
     assert weight_census(cut, mvec) == 0
+
+
+# a cone cut by one extra row, its weight bound, and how many weights with
+# 0 < |m| <= bound keep some but not all of the uncut cone's points
+CUT_CONES = [
+    ("C3", fx.C3_WORD, {2: -1, 3: 1, 7: -1}, 4, 9),
+    # the heaviest B3 and D4 words of the benchmark's census panel
+    ("B3", (3, 2, 3, 2, 1, 2, 3, 2, 1), {2: -1, 3: 1, 7: -1}, 3, 6),
+    ("D4", (1, 4, 3, 2, 1, 3, 4, 2, 4, 1, 3, 2), {1: -1, 2: 1, 3: -1}, 3, 7),
+]
+
+
+@pytest.mark.parametrize("name, letters, extra, bound, partial", CUT_CONES, ids=[c[0] for c in CUT_CONES])
+def test_census_of_a_cut_cone_matches_brute_force(name, letters, extra, bound, partial):
+    cd = cartan_matrix(CartanType.parse(name))
+    cone = string_cone(cd, validate_word(cd, letters))
+    cut = _with_rows(cone, extra)
+    counts = []
+    for mvec in weights_up_to(cd.n, bound):
+        if sum(mvec):
+            got = weight_census(cut, mvec)
+            assert got == brute_force_census(cut, mvec), mvec
+            counts.append((got, weight_census(cone, mvec)))
+    assert sum(0 < got < full for got, full in counts) == partial
 
 
 def test_census_refuses_an_uncertified_cone(c3, c3_word):
