@@ -17,12 +17,13 @@ predicate that verify_graph checks finished graphs against.
 Each fire produces d' = d / A_j and b' = b with +1 at j and -1 at j+. The b
 recursion is affine in d with a linear part that depends on the word alone,
 so b(d / A_j) - b(d) = e_j - e_{j+} is a fact about (word, j): it is proven
-once per word, and a failure, a convention bug, always raises, forced build
-or not. From then on b is a function of d, so a vertex keeps the b it was
-first reached with. The source b is checked against a closed form read off
-the coroot sequence beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}), computed
-once per word, and verify_graph recomputes b from the recursion at every
-vertex of a finished graph, independently of the build.
+once per word, through the forward map d = T b - s of the recursion, and a
+failure, a convention bug, always raises, forced build or not. From then on
+b is a function of d, so a vertex keeps the b it was first reached with. The
+source b is checked against a closed form read off the coroot sequence
+beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}), computed once per word, and
+verify_graph recomputes b from the recursion at every vertex of a finished
+graph, independently of the build.
 
 Inside a build, vertices get integer ids in creation order, which is also
 the FIFO order, and are looked up by one integer key per d, the entries of d
@@ -213,31 +214,41 @@ def firing_labels_minuscule(w: ReducedWord, d: tuple[int, ...]) -> list[int]:
     return [j for j, jp in enumerate(w.jplus, start=1) if jp <= N and d[j - 1] == 1 and d[jp - 1] != 1]
 
 
-def _firing_table(cd: CartanData, w: ReducedWord, i: int, d0: tuple[int, ...], b0: tuple[int, ...]) -> tuple:
+def _forward_column(cd: CartanData, w: ReducedWord, k: int) -> list[int]:
+    """T e_k, column k (1-based) of the linear part of the forward map d = T b - s.
+
+    Solving the b recursion for d gives d_t = b_t + sum_{l>t} a_{i_t, i_l} b_l - s_t,
+    so T is unit upper triangular with T[t][l] = a_{i_t, i_l} above the
+    diagonal, read from cd.rows as b_from_d reads it.
+    """
+    c = w.letters[k - 1] - 1
+    column = [cd.rows[r - 1][c] for r in w.letters]
+    column[k - 1 :] = [1] + [0] * (w.N - k)
+    return column
+
+
+def _firing_table(cd: CartanData, w: ReducedWord) -> tuple:
     """Per position j, (j+, the exponents of A_j at j..j+), or None when j+ > N; kept on the word.
 
     A_j is zero outside its window j..j+, so the window is all an edge needs.
-    Proves the shift identity once per word, at the source (d0, b0): by the
-    affine argument it then holds at every vertex, for every i.
+    Proves the shift identity once per word, for every i: b(d / A_j) - b(d)
+    = -T^{-1} A_j, which is e_j - e_{j+} exactly when A_j = T e_{j+} - T e_j.
     """
     table = w.cache.get("a_monomials")
     if table is not None:
         return table
+    columns = [_forward_column(cd, w, k) for k in range(1, w.N + 1)]
     table = []
     for j, jp in enumerate(w.jplus, start=1):
         if jp > w.N:
             table.append(None)
             continue
         a = a_monomial(cd, w, j)
-        d2 = tuple(map(sub, d0, a))
-        shifted = list(b0)
-        shifted[j - 1] += 1
-        shifted[jp - 1] -= 1
-        expected = b_from_d(cd, w, i, d2)
-        if expected != tuple(shifted):
+        expected = tuple(map(sub, columns[jp - 1], columns[j - 1]))
+        if a != expected:
             raise BUpdateMismatch(
-                f"b update for {cd.ctype} word {w} i={i} at j={j} from {render(d0)}: "
-                f"shifted {shifted}, recursion on {render(d2)} gives {expected}"
+                f"b update for {cd.ctype} word {w} at j={j}: A_j is {render(a)}, "
+                f"the forward map of the b recursion needs {render(expected)}"
             )
         table.append((jp, a[j - 1 : jp]))
     table = w.cache["a_monomials"] = tuple(table)
@@ -307,7 +318,7 @@ def build_graph(
         )
 
     d0, b0 = initial_vertex(cd, w, i)
-    table = _firing_table(cd, w, i, d0, b0)
+    table = _firing_table(cd, w)
     width = _key_width(max_vertices)
     a_keys = _a_keys(w, table, width)
     key0 = _pack(d0, width)

@@ -10,6 +10,8 @@ letter class ranges over the nonnegative compositions of its sum. A cone
 whose rows do not yield that chain is refused, not counted. The classes are
 merged into a frontier of partial row sums under one pruning rule: a partial
 sum stays while the later classes' maxima could still bring every row to 0.
+A class whose letter sum is 0 has the zero vector as its one candidate, so
+the merge skips it.
 """
 
 from __future__ import annotations
@@ -113,18 +115,26 @@ def _compositions(total: int, size: int) -> np.ndarray:
 
 
 def weights_up_to(n: int, bound: int):
-    """All nonnegative integer vectors of length n with sum <= bound, in lexicographic order."""
+    """All nonnegative integer vectors of length n with sum <= bound, in lexicographic order.
 
-    def rec(prefix, left, budget):
-        if left == 0:
-            yield tuple(prefix)
+    The next vector raises the last entry while the sum allows; otherwise the
+    last nonzero entry drops to 0 and the entry before it rises by 1.
+    """
+    if bound < 0:
+        return
+    m = [0] * n
+    while True:
+        yield tuple(m)
+        if n and sum(m) < bound:
+            m[-1] += 1
+            continue
+        r = n - 1
+        while r > 0 and not m[r]:
+            r -= 1
+        if r <= 0:
             return
-        for x in range(budget + 1):
-            prefix.append(x)
-            yield from rec(prefix, left - 1, budget - x)
-            prefix.pop()
-
-    yield from rec([], n, bound)
+        m[r] = 0
+        m[r - 1] += 1
 
 
 def _class_blocks(cone: ConeSystem) -> list[np.ndarray]:
@@ -144,7 +154,8 @@ def _class_blocks(cone: ConeSystem) -> list[np.ndarray]:
 def _weight(n: int, mvec) -> tuple[int, ...]:
     """mvec as a tuple of n nonnegative Python ints; ValueError otherwise."""
     mv = tuple(mvec)
-    if len(mv) != n or not all(isinstance(x, Integral) and x >= 0 for x in mv):
+    # the exact-type test first: the ABC check is a large share of a small query
+    if len(mv) != n or not all((type(x) is int or isinstance(x, Integral)) and x >= 0 for x in mv):
         raise ValueError(f"weight must be {n} nonnegative integers, got {mv!r}")
     return tuple(int(x) for x in mv)
 
@@ -159,31 +170,38 @@ def weight_census(cone: ConeSystem, mvec) -> int:
     compositions of mvec[t-1] over the class's positions. A cone without that
     certificate raises CensusUncertified; no box is assumed.
 
-    Each letter class keeps only its candidates' contributions to every row,
-    never the points, and their row-wise maxima, taken once. The classes are
-    merged one at a time, fewest candidates first, into a frontier of partial
-    row sums. After each merge an entry survives only while the later
-    classes' maxima could still bring every row to 0. That is the one pruning
-    rule: a candidate no completion can use leaves at its own class's merge,
-    and at the last merge the rule is the exact row check. Memory is bounded
-    by the surviving frontier rather than by the product of the classes.
+    Only the classes with mvec[t-1] > 0 take part: a class of sum 0 has the
+    zero vector as its one candidate, which adds nothing to a row. Each such
+    class keeps only its candidates' contributions to every row, never the
+    points, and their row-wise maxima, taken once. The classes are merged one
+    at a time, fewest candidates first, into a frontier of partial row sums
+    that starts as the first class's contributions. After each merge an entry
+    survives only while the later classes' maxima could still bring every row
+    to 0. That is the one pruning rule: a candidate no completion can use
+    leaves at its own class's merge, and at the last merge the rule is the
+    exact row check. Memory is bounded by the surviving frontier rather than
+    by the product of the classes.
     """
     mv = _weight(cone.cd.n, mvec)
     if sum(mv) == 0:
         return 1
     orthant_certificate(cone)
-    contribs = [_compositions(m_t, len(block)) @ block for m_t, block in zip(mv, _class_blocks(cone))]
+    contribs = sorted(
+        (_compositions(m_t, len(block)) @ block for m_t, block in zip(mv, _class_blocks(cone)) if m_t),
+        key=len,
+    )
 
     best = [c.max(axis=0) for c in contribs]
     rest = sum(best)
-    frontier = np.zeros((1, len(rest)), dtype=np.int64)
-    for k in np.argsort([len(c) for c in contribs], kind="stable"):
-        rest -= best[k]
-        frontier = (frontier[:, None, :] + contribs[k][None, :, :]).reshape(-1, len(rest))
-        frontier = frontier[(frontier + rest >= 0).all(axis=1)]
-        if frontier.shape[0] == 0:
+    frontier = None
+    for c, top in zip(contribs, best):
+        rest -= top
+        if frontier is not None:
+            c = (frontier[:, None, :] + c).reshape(-1, len(rest))
+        frontier = c[(c >= -rest).all(axis=1)]
+        if not len(frontier):
             return 0
-    return frontier.shape[0]
+    return len(frontier)
 
 
 @lru_cache(maxsize=None)

@@ -368,6 +368,25 @@ def test_corrupted_a_monomial_is_caught(c3, monkeypatch):
         build_graph(c3, w, 2, force=True)
 
 
+@pytest.mark.parametrize("name", ["c3", "b3"])
+def test_transposed_a_monomial_is_caught(name, request, monkeypatch):
+    # A_j with a_{i_j, i_l} in place of a_{i_l, i_j}: the same on a symmetric
+    # Cartan matrix, wrong on B3 and C3, where the word's window 2, 3, 2 tells them apart
+    cd = request.getfixturevalue(name)
+    w = validate_word(cd, fx.C3_WORD)
+    real = decograph.a_monomial
+
+    def transposed(cd, word, j):
+        a = list(real(cd, word, j))
+        for l in range(j + 1, word.jplus[j - 1]):
+            a[l - 1] = cd.a(word.letter(j), word.letter(l))
+        return tuple(a)
+
+    monkeypatch.setattr(decograph, "a_monomial", transposed)
+    with pytest.raises(BUpdateMismatch, match="j=1"):
+        build_graph(cd, w, 2)
+
+
 def test_verify_graph_catches_altered_b(c3, c3_word):
     g = build_graph(c3, c3_word, 2)
     d = ev(9, fx.C3_SINK)

@@ -21,7 +21,9 @@ from tropicone.rootsystem import (
 from tropicone.wordtools import enumerate_w0_words, j_plus
 from tropicone.monomial import a_monomial
 from tropicone.decograph import b_from_d, build_graph, firing_labels, firing_labels_minuscule, verify_graph
-from tropicone.stringcone import dual_kostant_count, string_cone, weight_census, weights_up_to
+from tropicone.stringcone import ConeSystem, dual_kostant_count, string_cone, weight_census, weights_up_to
+
+from references import brute_force_census
 
 CDS = [cartan_matrix(CartanType.parse(name)) for name in ("A3", "B3", "C3", "D4", "G2", "F4")]
 WORD_POOL = [
@@ -191,3 +193,31 @@ def test_census_counts_dual_partitions_up_to_weight_three(pair):
     cone = string_cone(cd, w)
     for mvec in weights_up_to(cd.n, 3):
         assert weight_census(cone, mvec) == dual_kostant_count(cd, mvec), mvec
+
+
+@lru_cache(maxsize=None)
+def pooled_cone(k):
+    cd, w = WORD_POOL[k]
+    return string_cone(cd, w)
+
+
+CUT_POOL = [k for k, (cd, _) in enumerate(WORD_POOL) if cd.ctype.family in "BC"]
+
+
+@st.composite
+def cut_cone_and_weight(draw):
+    cone = pooled_cone(draw(st.sampled_from(CUT_POOL)))
+    entries = draw(st.dictionaries(st.integers(0, cone.N - 1), st.integers(-2, 2), min_size=1, max_size=4))
+    row = tuple(entries.get(l, 0) for l in range(cone.N))
+    letters = draw(st.lists(st.integers(0, cone.cd.n - 1), min_size=1, max_size=3))
+    mvec = tuple(letters.count(t) for t in range(cone.cd.n))
+    return ConeSystem(cone.cd, cone.word, cone.rows + ((0, row),)), mvec
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_cone_and_weight())
+def test_census_of_a_randomly_cut_cone_matches_brute_force(args):
+    # weights with zero-sum letter classes, and cuts that empty the frontier,
+    # beyond the fixed cut cones of test_stringcone
+    cut, mvec = args
+    assert weight_census(cut, mvec) == brute_force_census(cut, mvec), (cut.word.letters, cut.rows[-1], mvec)

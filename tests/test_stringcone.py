@@ -1,7 +1,9 @@
+import gc
 import json
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from tropicone.monomial import unit
@@ -251,9 +253,33 @@ def test_malformed_weights_are_rejected(c3, c3_word, mvec):
         dual_kostant_count(c3, mvec)
 
 
+def test_numpy_integer_weights_are_accepted(c3, c3_word):
+    cone = string_cone(c3, c3_word)
+    for mvec in [(1, 1, 0), (2, 1, 1), (0, 0, 2)]:
+        expected = dual_kostant_count(c3, mvec)
+        assert expected == weight_census(cone, mvec)
+        for mv in (np.array(mvec), tuple(np.int64(x) for x in mvec)):
+            assert weight_census(cone, mv) == expected
+            assert dual_kostant_count(c3, mv) == expected
+
+
 def test_weights_up_to_order():
     assert list(weights_up_to(2, 2)) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     assert list(weights_up_to(3, 0)) == [(0, 0, 0)]
+
+
+def test_weights_up_to_leaves_no_cycle():
+    # reference counting alone frees a sweep: the cyclic collector finds nothing after it
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        sweep = list(weights_up_to(4, 4))
+        assert len(sweep) == 70 and sweep == sorted(set(sweep))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_dual_kostant_small_values(c3):
