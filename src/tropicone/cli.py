@@ -17,12 +17,13 @@ import json
 import os
 import sys
 import tempfile
+from collections import deque
 
 from . import decograph, oracle, stringcone
 from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_graph, to_dot, to_json
 from .oracle import MixedSigns
 from .rootsystem import CartanType, cartan_matrix
-from .stringcone import dual_kostant_count, string_cone, weight_census, weights_up_to
+from .stringcone import cone_from_graphs, dual_kostant_count, string_cone, weight_census, weights_up_to
 from .wordtools import LimitExceeded, enumerate_w0_words, parse_word
 
 OUTDIR_ENV = "TROPICONE_OUTDIR"
@@ -115,6 +116,20 @@ def cmd_check(args) -> int:
     return 0 if status == "pass" else 1
 
 
+def _checked_graphs(cd, w, agreement: list):
+    """The forced graph of w for each index in turn, built lazily.
+
+    In type A each graph is first compared with the oracles, its report
+    appended to agreement. One graph is alive at a time.
+    """
+    for i in range(1, cd.n + 1):
+        g = build_graph(cd, w, i, force=True)
+        if cd.ctype.family == "A":
+            agreement.append(oracle.agreement_report(g))
+        yield g
+        del g
+
+
 def cmd_oracle(args) -> int:
     if args.census_bound < 0:
         print("error: --census-bound must be nonnegative", file=sys.stderr)
@@ -132,22 +147,22 @@ def cmd_oracle(args) -> int:
         return 1
 
     agreement = []
-    if cd.ctype.family == "A":
-        for w in words:
-            for i in range(1, cd.n + 1):
-                agreement.append(oracle.agreement_report(cd, w, i))
-
     census_failures = []
     census_checked = 0
     if len(words) <= 4:
-        census_words = words
+        census_at = set(range(len(words)))
     else:
-        census_words = [words[0], words[len(words) // 3], words[2 * len(words) // 3], words[-1]]
+        census_at = {0, len(words) // 3, 2 * len(words) // 3, len(words) - 1}
     bound = args.census_bound
     mvecs = list(weights_up_to(cd.n, bound))
-    # forced: each count is checked against Kostant, so an unproven cone is tested, not trusted
-    for w in census_words:
-        cone = string_cone(cd, w, force=True)
+    for k, w in enumerate(words):
+        graphs = _checked_graphs(cd, w, agreement)
+        if k not in census_at:
+            if cd.ctype.family == "A":
+                deque(graphs, maxlen=0)  # each graph only feeds the agreement
+            continue
+        # forced: each count is checked against Kostant, so an unproven cone is tested, not trusted
+        cone = cone_from_graphs(cd, w, graphs)
         for mv in mvecs:
             got = weight_census(cone, mv)
             want = dual_kostant_count(cd, mv)

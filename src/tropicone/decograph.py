@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import compress
 from operator import mul, sub
 
@@ -118,20 +119,30 @@ class DecoGraph:
         return [d for d in self.vertices if d not in has_out]
 
 
+@lru_cache(maxsize=None)
+def _recursion_terms(cd: CartanData, i: int) -> tuple:
+    """(s_i Lambda_i, per letter c the nonzero (c', a_{c,c'}) of Cartan row c), 0-based, per root system and index."""
+    silam = reflect(cd, i, fundamental_weight(cd.n, i))
+    return silam, tuple(tuple((c2, a) for c2, a in enumerate(row) if a) for row in cd.rows)
+
+
 def b_from_d(cd: CartanData, w: ReducedWord, i: int, d: tuple[int, ...]) -> tuple[int, ...]:
     """The b integers of a monomial, from the downward recursion.
 
     b_N = d_N + <h_{i_N}, s_i Lambda_i> and, going down,
     b_t = d_t + <h_{i_t}, s_i Lambda_i> - sum_{l=t}^{N-1} b_{l+1} a_{i_t, i_{l+1}}.
     The sum is grouped by letter: later[c] holds the sum of b_l over l > t
-    with i_l = c+1, so b_t = d_t + <h_{i_t}, s_i Lambda_i> - sum_c a_{i_t, c+1} later[c].
+    with i_l = c+1, so b_t = d_t + <h_{i_t}, s_i Lambda_i> - sum_c a_{i_t, c+1} later[c],
+    summed over the nonzero entries of the Cartan row only.
     """
-    silam = reflect(cd, i, fundamental_weight(cd.n, i))
+    silam, terms = _recursion_terms(cd, i)
     later = [0] * cd.n
     b = [0] * w.N
     for t0 in range(w.N - 1, -1, -1):
         c0 = w.letters[t0] - 1
-        bt = d[t0] + silam[c0] - sum(map(mul, cd.rows[c0], later))
+        bt = d[t0] + silam[c0]
+        for c, a in terms[c0]:
+            bt -= a * later[c]
         b[t0] = bt
         later[c0] += bt
     return tuple(b)

@@ -2,30 +2,33 @@
 
 Each monomial prod t_l^{d_l} contributes the row sum_l d_l z_l >= 0; the
 minimum of linear forms is nonnegative exactly when every form is, so the
-system over all indices i cuts out the cone. Lattice points graded by
-letter sums are counted against the Kostant partition function of the dual
-root system. The count is exact: the rows themselves are first shown to
-imply z >= 0, by an integer chain of rows found once per cone, so each
-letter class ranges over the nonnegative compositions of its sum. A cone
-whose rows do not yield that chain is refused, not counted. The classes are
-merged into a frontier of partial row sums under one pruning rule: a partial
-sum stays while the later classes' maxima could still bring every row to 0.
-A class whose letter sum is 0 has the zero vector as its one candidate, so
-the merge skips it.
+system over all indices i cuts out the cone. The rows are read from the
+word's graphs one graph at a time, so a lazy source of builds keeps one
+graph alive, and a caller that already built the graphs passes them in
+(cone_from_graphs). Lattice points graded by letter sums are counted
+against the Kostant partition function of the dual root system. The count
+is exact: the rows themselves are first shown to imply z >= 0, by an
+integer chain of rows found once per cone, so each letter class ranges over
+the nonnegative compositions of its sum. A cone whose rows do not yield that
+chain is refused, not counted. The classes are merged into a frontier of
+partial row sums under one pruning rule: a partial sum stays while the later
+classes' maxima could still bring every row to 0. A class whose letter sum
+is 0 has the zero vector as its one candidate, so the merge skips it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from numbers import Integral
 from operator import sub
 
 import numpy as np
 
-from .decograph import build_graph
+from .decograph import DecoGraph, build_graph
 from .rootsystem import CartanData, dual_cartan, positive_roots
 from .wordtools import ReducedWord
 
@@ -51,8 +54,20 @@ def string_cone(cd: CartanData, w: ReducedWord, force: bool = False) -> ConeSyst
     the grading t_l -> beta_l: its source t_k has beta_k = alpha_i and every
     A_j grades to 0. So the summands for distinct i share no monomial.
     """
-    rows = tuple((i, d) for i in range(1, cd.n + 1) for d in build_graph(cd, w, i, force=force).vertices)
-    return ConeSystem(cd, w, rows)
+    return cone_from_graphs(cd, w, (build_graph(cd, w, i, force=force) for i in range(1, cd.n + 1)))
+
+
+def cone_from_graphs(cd: CartanData, w: ReducedWord, graphs: Iterable[DecoGraph]) -> ConeSystem:
+    """The cone whose rows are the vertices of the given graphs of w, one for each i in order.
+
+    Each graph is dropped before the next is drawn, so a lazy iterable of
+    builds keeps one graph alive at a time.
+    """
+    return ConeSystem(cd, w, tuple(chain.from_iterable(map(_graph_rows, graphs))))
+
+
+def _graph_rows(g: DecoGraph) -> list[tuple[int, tuple[int, ...]]]:
+    return [(g.i, d) for d in g.vertices]
 
 
 class CensusUncertified(ValueError):

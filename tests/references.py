@@ -1,10 +1,13 @@
 """Plain reference implementations that tests compare the package against.
 
 Each one recomputes something the package computes faster, the slow way and
-without sharing the package's shortcut: the source b by chains of
+without sharing the package's shortcut: seeded reduced words by reflecting
+simple roots through each prefix, the source b by chains of
 reflections, the firing rule by a scan over every position, the graph by a
 BFS keyed by the d tuples themselves, b at the ends of the i-trails by
-the recursion, and the census by testing every row at every candidate point.
+the recursion, the i-trails by a walk over every state of the weight
+diagram, the type A minor by carrying every minor on its rows over full-length
+exponent tuples, and the census by testing every row at every candidate point.
 """
 
 from __future__ import annotations
@@ -13,10 +16,28 @@ from collections import deque
 from itertools import product
 from operator import sub
 
+from tropicone import oracle
 from tropicone.decograph import _condition_b, b_from_d, initial_vertex
 from tropicone.monomial import a_monomial
-from tropicone.oracle import _trails
-from tropicone.rootsystem import fundamental_weight, reflect
+from tropicone.oracle import _trails, minuscule_weight_diagram
+from tropicone.rootsystem import fundamental_weight, reflect, reflect_root, simple_root, simple_root_weight
+from tropicone.wordtools import validate_word
+
+
+def random_word(cd, rng):
+    """A seeded reduced word of w0: extend the prefix w by a letter j with w(alpha_j) > 0."""
+    letters = []
+    while True:
+        allowed = []
+        for j in range(1, cd.n + 1):
+            root = simple_root(cd.n, j)
+            for letter in reversed(letters):
+                root = reflect_root(cd, letter, root)
+            if min(root) >= 0:
+                allowed.append(j)
+        if not allowed:
+            return validate_word(cd, letters)
+        letters.append(rng.choice(allowed))
 
 
 def reflection_closed_form(cd, w, i, k):
@@ -91,6 +112,69 @@ def crosscheck_b_equals_c(cd, w, i):
         "status": "pass" if not mismatches else "fail",
         "mismatches": mismatches,
     }
+
+
+def unpruned_trails(cd, w, i):
+    """The (c, d) pairs of the i-trails by a depth-first walk over every state inside the diagram.
+
+    Each step tries c = 0 and c = 1 wherever gamma stays a weight, whether or
+    not the target is still reachable, and tests for it only at the end.
+    """
+    weights = minuscule_weight_diagram(cd, i)
+    start = next(mu for mu in weights if min(mu) >= 0)
+    target = tuple(-x for x in reflect(cd, i, fundamental_weight(cd.n, i)))
+    alphas = {j: simple_root_weight(cd, j) for j in set(w.letters)}
+    out = []
+    stack = [(1, start, (), ())]
+    while stack:
+        k, gamma, cs, ds = stack.pop()
+        if k > w.N:
+            if gamma == target:
+                out.append((cs, ds))
+            continue
+        letter = w.letter(k)
+        for c in (1, 0):
+            nxt = tuple(map(sub, gamma, alphas[letter])) if c else gamma
+            if nxt in weights:
+                stack.append((k + 1, nxt, cs + (c,), ds + (nxt[letter - 1] + c,)))
+    return out
+
+
+def unpruned_minor(cd, w, i):
+    """The type A minor by carrying every minor on its rows, over full-length exponent tuples.
+
+    The per-letter Cauchy-Binet update of typeA_minor_poly, written out case
+    by case, with no live-set pass: each step re-slices every exponent tuple
+    to add t_l's power at position l.
+    """
+    n, N = cd.n, w.N
+    (a, b), (c, d) = oracle._BLOCK
+    det = oracle._block_det(oracle._BLOCK)
+    rows = sum(1 << r for r in range(n + 1 - i, n + 1))
+    minors = {rows: {(0,) * N: 1}}
+    for l in range(1, N + 1):
+        bp, bq = 1 << (w.letter(l) - 1), 1 << w.letter(l)
+        new = {}
+        for J, poly in minors.items():
+            has_p, has_q = bool(J & bp), bool(J & bq)
+            if not has_p and not has_q:
+                new[J] = poly
+                continue
+            if has_p and has_q:
+                targets = [(J, det)]
+            elif has_p:
+                targets = [(J, a), (J ^ bp ^ bq, b)]
+            else:
+                targets = [(J, d), (J ^ bp ^ bq, c)]
+            for K, f in targets:
+                out = new.setdefault(K, {})
+                for s, cf in f.items():
+                    for e, coeff in poly.items():
+                        e2 = e[: l - 1] + (e[l - 1] + s,) + e[l:]
+                        out[e2] = out.get(e2, 0) + cf * coeff
+        minors = {K: poly for K, poly in new.items() if poly}
+    cols = sum(1 << col for col in range(i - 1)) | 1 << i
+    return minors.get(cols, {})
 
 
 def compositions(total, size):

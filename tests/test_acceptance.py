@@ -109,7 +109,7 @@ def test_criterion_5_type_a_three_way_oracle(capsys):
             cases.append((cd, validate_word(cd, letters)))
         for cd, w in cases:
             for i in range(1, cd.n + 1):
-                rep = agreement_report(cd, w, i)
+                rep = agreement_report(build_graph(cd, w, i))
                 assert rep["status"] == "pass", rep
                 assert rep["graph_count"] == rep["trail_count"] == rep["minor_count"]
                 assert all(c == 1 for c in rep["coefficient_table"].values())

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,14 @@ GOLDEN = [
     (
         ["graph", "--type", "F4", "--word", F4_WORD, "--i", "2", "--force", "--format", "json"],
         "e30f6838256525692382111c8d6055d99986ec9126e054cc6e60a22427f8b495",
+    ),
+    (
+        ["oracle", "--type", "A3", "--all-words", "--census-bound", "1"],
+        "c9aa8a0a814283efaf0ab09ab01c857e19cba765377ae7694de1db7e7d148378",
+    ),
+    (
+        ["oracle", "--type", "A4", "--word", "2,4,1,3,2,3,4,3,1,2"],
+        "888ddb8e801a807f0f99d699e0b5b2cb1396f6f835372564bc5df873b47452c6",
     ),
 ]
 
@@ -115,11 +124,11 @@ def test_out_of_memory_exits_1(capsys, monkeypatch):
 
 
 def test_uncertified_cone_exits_1(capsys, monkeypatch):
-    def without_first_row(cd, w, force):
-        cone = stringcone.string_cone(cd, w, force=force)
+    def without_first_row(cd, w, graphs):
+        cone = stringcone.cone_from_graphs(cd, w, graphs)
         return stringcone.ConeSystem(cd, w, cone.rows[1:])
 
-    monkeypatch.setattr(cli, "string_cone", without_first_row)
+    monkeypatch.setattr(cli, "cone_from_graphs", without_first_row)
     rc, out, err = run(capsys, "oracle", *C3_ARGS, "--census-bound", "1")
     assert rc == 1 and out == ""
     assert err == "error: census of (C3, word 2,3,2,1,2,3,2,3,1): no certificate that z_4 >= 0\n"
@@ -197,6 +206,25 @@ def test_oracle_a2(capsys):
     assert len(doc["agreement"]) == 4
     assert doc["census_failures"] == []
     assert doc["census_checked"] > 0
+
+
+def test_oracle_builds_each_graph_once(capsys, monkeypatch):
+    built = []
+
+    def build(*args, **kwargs):
+        # one graph alive at a time, serving both the agreement and the census cone
+        assert all(ref() is None for ref in built)
+        g = decograph.build_graph(*args, **kwargs)
+        built.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(cli, "build_graph", build)
+    rc, out, _ = run(capsys, "oracle", "--type", "A3", "--all-words", "--census-bound", "1")
+    assert rc == 0
+    doc = json.loads(out)
+    # 16 words, 4 of them censused, 3 indices each
+    assert len(built) == len(doc["agreement"]) == 48
+    assert doc["census_checked"] == 4 * 4
 
 
 def test_oracle_single_word_g2(capsys):

@@ -14,8 +14,6 @@ from tropicone.rootsystem import (
     fundamental_weight,
     minuscule_indices,
     reflect,
-    reflect_root,
-    simple_root,
 )
 from tropicone.wordtools import WordError, enumerate_w0_words, source_index, validate_word
 from tropicone.decograph import (
@@ -39,7 +37,7 @@ from tropicone.decograph import (
 
 import fixture_data as fx
 from fixture_data import ev
-from references import reflection_closed_form, scan_firing_labels, tuple_keyed_graph
+from references import random_word, reflection_closed_form, scan_firing_labels, tuple_keyed_graph
 
 
 def test_supported_classical():
@@ -114,22 +112,6 @@ def test_b_from_d_fixtures(c3, c3_word, d4, d4_word, g2, g2_word_a):
 def test_initial_vertex(c3, c3_word, g2, g2_word_a):
     assert initial_vertex(c3, c3_word, 2) == (unit(9, 1), (0, 0, 1, 1, 0, 1, 2, 1, 1))
     assert initial_vertex(g2, g2_word_a, 1) == (unit(6, 1), (0, 0, 1, 3, 2, 3))
-
-
-def random_word(cd, rng):
-    """A seeded reduced word of w0: extend the prefix w by a letter j with w(alpha_j) > 0."""
-    letters = []
-    while True:
-        allowed = []
-        for j in range(1, cd.n + 1):
-            root = simple_root(cd.n, j)
-            for letter in reversed(letters):
-                root = reflect_root(cd, letter, root)
-            if min(root) >= 0:
-                allowed.append(j)
-        if not allowed:
-            return validate_word(cd, letters)
-        letters.append(rng.choice(allowed))
 
 
 def test_closed_form_matches_reflections_on_every_rank_two_and_three_word():

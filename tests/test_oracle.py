@@ -27,7 +27,7 @@ from tropicone.oracle import (
 )
 
 import fixture_data as fx
-from references import crosscheck_b_equals_c
+from references import crosscheck_b_equals_c, random_word, unpruned_minor, unpruned_trails
 
 
 def test_a1_minor_is_single_variable():
@@ -35,7 +35,7 @@ def test_a1_minor_is_single_variable():
     w = validate_word(a1, (1,))
     p = typeA_minor_poly(a1, w, 1)
     assert p == {(1,): 1}
-    rep = agreement_report(a1, w, 1)
+    rep = agreement_report(build_graph(a1, w, 1))
     assert rep["status"] == "pass"
     assert rep["graph_count"] == rep["trail_count"] == rep["minor_count"] == 1
 
@@ -224,11 +224,77 @@ def test_crosscheck_b_equals_c(c3, c3_word, d4, d4_word):
         assert rep["trails"] >= 1
 
 
+def words_of(name, seeded):
+    """Every reduced word of the type, or that many seeded ones."""
+    cd = cartan_matrix(CartanType.parse(name))
+    if not seeded:
+        return cd, list(enumerate_w0_words(cd))
+    rng = random.Random(name)
+    return cd, [random_word(cd, rng) for _ in range(seeded)]
+
+
+def trail_mismatches(cd, words):
+    """The (word, i) at the minuscule indices where the live trail walk differs from the unpruned one."""
+    return [
+        (str(w), i)
+        for w in words
+        for i in sorted(minuscule_indices(cd))
+        if oracle._trails(cd, w, i) != unpruned_trails(cd, w, i)
+    ]
+
+
+def minor_mismatches(cd, words):
+    """The (word, i) where the pruned minor differs from the unpruned propagation."""
+    return [
+        (str(w), i)
+        for w in words
+        for i in range(1, cd.n + 1)
+        if typeA_minor_poly(cd, w, i) != unpruned_minor(cd, w, i)
+    ]
+
+
+# D4's minuscule indices are 1, 3, 4; D5's 1, 4, 5; E6's 1, 5
+@pytest.mark.parametrize("name, seeded", [("A3", 0), ("A4", 0), ("D4", 0), ("D5", 30), ("E6", 4)])
+def test_live_trail_walk_matches_the_unpruned_walk(name, seeded):
+    cd, words = words_of(name, seeded)
+    assert trail_mismatches(cd, words) == []
+
+
+@pytest.mark.parametrize("name, seeded", [("A3", 0), ("A4", 0), ("A5", 40), ("A6", 20)])
+def test_pruned_minor_matches_the_unpruned_propagation(name, seeded):
+    cd, words = words_of(name, seeded)
+    assert minor_mismatches(cd, words) == []
+
+
+@pytest.mark.parametrize("drop", ["lowest", "highest"])
+@pytest.mark.parametrize(
+    "live_pass, mismatches",
+    [("_live_weights", trail_mismatches), ("_live_columns", minor_mismatches)],
+    ids=["weights", "columns"],
+)
+def test_a_live_pass_missing_one_state_is_caught(monkeypatch, live_pass, mismatches, drop):
+    # the pass forgets one live weight, or column set, halfway through the word
+    real = getattr(oracle, live_pass)
+
+    def forgetful(*args):
+        live = real(*args)
+        states = live[len(live) // 2]
+        if isinstance(states, set):
+            states.remove(min(states) if drop == "lowest" else max(states))
+        else:
+            # a bit mask over weight ids
+            live[len(live) // 2] &= ~(states & -states if drop == "lowest" else 1 << states.bit_length() - 1)
+        return live
+
+    monkeypatch.setattr(oracle, live_pass, forgetful)
+    assert mismatches(*words_of("A3", 0))
+
+
 def test_a2_agreement_all_words():
     a2 = cartan_matrix(CartanType.parse("A2"))
     for w in enumerate_w0_words(a2):
         for i in (1, 2):
-            rep = agreement_report(a2, w, i)
+            rep = agreement_report(build_graph(a2, w, i))
             assert rep["status"] == "pass"
             assert rep["missing_in_graph"] == [] and rep["extra_in_graph"] == []
             assert all(c == 1 for c in rep["coefficient_table"].values())
@@ -237,7 +303,7 @@ def test_a2_agreement_all_words():
 def test_a3_agreement_fixture_word(a3):
     w = validate_word(a3, (1, 2, 1, 3, 2, 1))
     for i in (1, 2, 3):
-        rep = agreement_report(a3, w, i)
+        rep = agreement_report(build_graph(a3, w, i))
         assert rep["status"] == "pass"
         assert rep["graph_count"] == rep["trail_count"] == rep["minor_count"]
         assert all(c == 1 for c in rep["coefficient_table"].values())
@@ -245,7 +311,7 @@ def test_a3_agreement_fixture_word(a3):
 
 def test_agreement_report_shape(a3):
     w = validate_word(a3, (1, 2, 1, 3, 2, 1))
-    rep = agreement_report(a3, w, 2)
+    rep = agreement_report(build_graph(a3, w, 2))
     assert rep["input"] == {"type": "A3", "word": [1, 2, 1, 3, 2, 1], "i": 2}
     for key in ("status", "graph_count", "trail_count", "minor_count", "notes"):
         assert key in rep

@@ -1,11 +1,14 @@
 import gc
 import json
+import weakref
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from tropicone import stringcone
+from tropicone.decograph import build_graph
 from tropicone.monomial import unit
 from tropicone.rootsystem import CartanType, cartan_matrix, dual_cartan, positive_roots, simple_root
 from tropicone.wordtools import enumerate_w0_words, validate_word
@@ -120,6 +123,38 @@ def test_census_forced_exceptional_cones(name, bound, seeded):
     cone = string_cone(cd, exceptional_word(cd, name, seeded), force=True)
     for mvec in weights_up_to(cd.n, bound):
         assert weight_census(cone, mvec) == dual_kostant_count(cd, mvec), mvec
+
+
+# The forced F4 cone of this word is wrong: its unproven i=2 rows
+# z_2 + 2z_3 - z_4 >= 0 and 2z_3 - z_5 >= 0 cut the lattice point
+# z_4 = z_5 = z_6 = z_7 = 1, which the dual Kostant count includes. Pinned
+# as it stands, so that a change to the forced build or the census shows.
+F4_CUT_WORD = (2, 1, 3, 2, 1, 4, 3, 2, 3, 4, 1, 2, 3, 2, 4, 3, 1, 2, 4, 3, 4, 2, 1, 3)
+
+
+def test_forced_f4_cone_cuts_a_lattice_point():
+    f4 = cartan_matrix(CartanType.parse("F4"))
+    cone = string_cone(f4, validate_word(f4, F4_CUT_WORD), force=True)
+    assert len(cone.rows) == 7602
+    assert (weight_census(cone, (1, 1, 1, 1)), dual_kostant_count(f4, (1, 1, 1, 1))) == (7, 8)
+    point = ev(24, {4: 1, 5: 1, 6: 1, 7: 1})
+    cut = [(i, d) for i, d in cone.rows if sum(c * x for c, x in zip(d, point)) < 0]
+    assert cut == [(2, ev(24, {2: 1, 3: 2, 4: -1})), (2, ev(24, {3: 2, 5: -1}))]
+
+
+def test_string_cone_releases_each_graph_before_the_next(monkeypatch, c3, c3_word):
+    built = []
+
+    def build(*args, **kwargs):
+        # every earlier graph is gone by the time the next one is built
+        assert all(ref() is None for ref in built)
+        g = build_graph(*args, **kwargs)
+        built.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(stringcone, "build_graph", build)
+    assert len(string_cone(c3, c3_word).rows) == 14
+    assert len(built) == 3
 
 
 def grading_cases():
