@@ -24,7 +24,7 @@ from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_gr
 from .oracle import MixedSigns
 from .rootsystem import CartanType, cartan_matrix
 from .stringcone import cone_from_graphs, dual_kostant_count, string_cone, weight_census, weights_up_to
-from .wordtools import LimitExceeded, enumerate_w0_words, parse_word
+from .wordtools import LimitExceeded, enumerate_w0_words, parse_letters, parse_word, validate_word
 
 OUTDIR_ENV = "TROPICONE_OUTDIR"
 
@@ -139,9 +139,10 @@ def cmd_oracle(args) -> int:
         return 1
     cd = cartan_matrix(CartanType.parse(args.type))
     if args.all_words:
-        words = list(enumerate_w0_words(cd, limit=args.word_limit))
+        # letters only, each validated when it is used: outside type A most words never are
+        words = [w.letters for w in enumerate_w0_words(cd, limit=args.word_limit)]
     elif args.word:
-        words = [parse_word(cd, args.word)]
+        words = [parse_letters(args.word)]
     else:
         print("error: oracle needs --word or --all-words", file=sys.stderr)
         return 1
@@ -155,11 +156,13 @@ def cmd_oracle(args) -> int:
         census_at = {0, len(words) // 3, 2 * len(words) // 3, len(words) - 1}
     bound = args.census_bound
     mvecs = list(weights_up_to(cd.n, bound))
-    for k, w in enumerate(words):
+    for k, letters in enumerate(words):
+        if k not in census_at and cd.ctype.family != "A":
+            continue  # neither an agreement nor a census word
+        w = validate_word(cd, letters)
         graphs = _checked_graphs(cd, w, agreement)
         if k not in census_at:
-            if cd.ctype.family == "A":
-                deque(graphs, maxlen=0)  # each graph only feeds the agreement
+            deque(graphs, maxlen=0)  # each graph only feeds the agreement
             continue
         # forced: each count is checked against Kostant, so an unproven cone is tested, not trusted
         cone = cone_from_graphs(cd, w, graphs)

@@ -15,15 +15,20 @@ inside {-2, ..., 2}. On minuscule i it reduces to d_j = 1, d_{j+} != 1, a
 predicate that verify_graph checks finished graphs against.
 
 Each fire produces d' = d / A_j and b' = b with +1 at j and -1 at j+. The b
-recursion is affine in d with a linear part that depends on the word alone,
-so b(d / A_j) - b(d) = e_j - e_{j+} is a fact about (word, j): it is proven
-once per word, through the forward map d = T b - s of the recursion, and a
-failure, a convention bug, always raises, forced build or not. From then on
-b is a function of d, so a vertex keeps the b it was first reached with. The
-source b is checked against a closed form read off the coroot sequence
-beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}), computed once per word, and
-verify_graph recomputes b from the recursion at every vertex of a finished
-graph, independently of the build.
+recursion is affine in d with a linear part T that depends on the word
+alone, so b(d / A_j) - b(d) = e_j - e_{j+} is a fact about (word, j): it
+holds when A_j = T e_{j+} - T e_j, which is zero outside the window j..j+
+because i_{j+} = i_j. It is proven once per word, on each window, and a
+failure, a convention bug, always raises, forced build or not. The same pass
+keeps one Firing record per position: j+, the window of A_j, the chain
+j^{2+}, j^{3+}, ... that rule (b) walks, and the packed key of A_j; the
+worklist applies the rule inline on these records, the one place it lives.
+From then on b is a function of d, so a vertex keeps the b it was first
+reached with. The source b is checked against a closed form read off the
+coroot sequence beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}), looked up in
+the root table through the word's beta indices, and verify_graph recomputes
+b from the recursion at every vertex of a finished graph, independently of
+the build.
 
 Inside a build, vertices get integer ids in creation order, which is also
 the FIFO order, and are looked up by one integer key per d, the entries of d
@@ -42,7 +47,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import compress
-from operator import mul, sub
+from operator import lshift, sub
+from typing import NamedTuple
 
 from .monomial import a_monomial, lowest_term, render, unit
 from .rootsystem import (
@@ -50,13 +56,13 @@ from .rootsystem import (
     CartanType,
     RootSystemError,
     cartan_matrix,
-    dual_cartan,
     fundamental_weight,
     max_coroot_coefficients,
     minuscule_indices,
     reflect,
+    root_table,
 )
-from .wordtools import ReducedWord, WordError, _beta_sequence, source_index
+from .wordtools import ReducedWord, WordError, source_index
 
 
 class GraphError(RuntimeError):
@@ -148,32 +154,20 @@ def b_from_d(cd: CartanData, w: ReducedWord, i: int, d: tuple[int, ...]) -> tupl
     return tuple(b)
 
 
-def _coroot_sequence(cd: CartanData, w: ReducedWord) -> tuple[tuple[int, ...], ...]:
-    """beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}) in simple-coroot coordinates, kept on the word.
-
-    This is the beta sequence of the dual root system. When the dual matrix is
-    the one the word was validated for (a symmetric Cartan matrix), that is
-    the word's own beta sequence, which validation already computed.
-    """
-    key = ("coroots", cd)
-    seq = w.cache.get(key)
-    if seq is None:
-        dual = dual_cartan(cd)
-        seq = w.cache[key] = w.beta if dual == w.cd else _beta_sequence(dual, w.letters)
-    return seq
-
-
 def _initial_b_closed_form(cd: CartanData, w: ReducedWord, i: int, k: int) -> tuple[int, ...]:
     """b at the source, read off the coroot sequence instead of the recursion.
 
     b_t = <beta_t^vee, Lambda_i> below k, b_k = 0, and above k
-    b_t = <beta_t^vee, s_i Lambda_i> = (beta_t^vee)_i - sum_c (beta_t^vee)_c a_{c,i},
-    since <h_{i_t}, s_{i_{t+1}} ... s_{i_N} mu> = <beta_t^vee, mu>.
+    b_t = <beta_t^vee, s_i Lambda_i> = <s_i beta_t^vee, Lambda_i>, since
+    <h_{i_t}, s_{i_{t+1}} ... s_{i_N} mu> = <beta_t^vee, mu>. Both pairings are
+    coroot coefficients of alpha_i^vee, looked up in the root table: beta_t^vee
+    is the coroot of the word's root beta_t, and s_i beta_t^vee that of s_i beta_t.
     """
-    coroots = _coroot_sequence(cd, w)
-    column = [row[i - 1] for row in cd.rows]
-    below = tuple(c[i - 1] for c in coroots[: k - 1])
-    above = tuple(c[i - 1] - sum(map(mul, c, column)) for c in coroots[k:])
+    table = root_table(cd)
+    coroots, s_i = table.coroots, table.reflections[i - 1]
+    ids = w.beta_ids
+    below = tuple(coroots[r][i - 1] for r in ids[: k - 1])
+    above = tuple(coroots[s_i[r]][i - 1] for r in ids[k:])
     return below + (0,) + above
 
 
@@ -190,80 +184,10 @@ def initial_vertex(cd: CartanData, w: ReducedWord, i: int) -> tuple[tuple[int, .
     return d, b
 
 
-def _condition_b(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...], j: int) -> bool:
-    """The (d,b) = (0,0) ... (-1,1) chain test along j^{2+}, j^{3+}, ..."""
-    jplus, N = w.jplus, w.N
-    pos = jplus[jplus[j - 1] - 1]
-    while pos <= N:
-        dp, bp = d[pos - 1], b[pos - 1]
-        if dp == -1 and bp == 1:
-            return True
-        if dp or bp:
-            return False
-        pos = jplus[pos - 1]
-    return False
-
-
-def firing_labels(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """All positions that fire from (d, b), ascending; only the nonzero entries of d can."""
-    jplus = w.jplus
-    N = len(jplus)
-    out = []
-    for j0 in compress(range(N), d):
-        dj, jp = d[j0], jplus[j0]
-        if dj <= 0 or jp > N or b[jp - 1] <= 0:
-            continue
-        djp = d[jp - 1]
-        if djp < dj or (djp == dj and _condition_b(w, d, b, j0 + 1)):
-            out.append(j0 + 1)
-    return out
-
-
 def firing_labels_minuscule(w: ReducedWord, d: tuple[int, ...]) -> list[int]:
     """The minuscule rule d_j = 1, d_{j+} != 1; equals firing_labels on minuscule (type, i)."""
     N = w.N
     return [j for j, jp in enumerate(w.jplus, start=1) if jp <= N and d[j - 1] == 1 and d[jp - 1] != 1]
-
-
-def _forward_column(cd: CartanData, w: ReducedWord, k: int) -> list[int]:
-    """T e_k, column k (1-based) of the linear part of the forward map d = T b - s.
-
-    Solving the b recursion for d gives d_t = b_t + sum_{l>t} a_{i_t, i_l} b_l - s_t,
-    so T is unit upper triangular with T[t][l] = a_{i_t, i_l} above the
-    diagonal, read from cd.rows as b_from_d reads it.
-    """
-    c = w.letters[k - 1] - 1
-    column = [cd.rows[r - 1][c] for r in w.letters]
-    column[k - 1 :] = [1] + [0] * (w.N - k)
-    return column
-
-
-def _firing_table(cd: CartanData, w: ReducedWord) -> tuple:
-    """Per position j, (j+, the exponents of A_j at j..j+), or None when j+ > N; kept on the word.
-
-    A_j is zero outside its window j..j+, so the window is all an edge needs.
-    Proves the shift identity once per word, for every i: b(d / A_j) - b(d)
-    = -T^{-1} A_j, which is e_j - e_{j+} exactly when A_j = T e_{j+} - T e_j.
-    """
-    table = w.cache.get("a_monomials")
-    if table is not None:
-        return table
-    columns = [_forward_column(cd, w, k) for k in range(1, w.N + 1)]
-    table = []
-    for j, jp in enumerate(w.jplus, start=1):
-        if jp > w.N:
-            table.append(None)
-            continue
-        a = a_monomial(cd, w, j)
-        expected = tuple(map(sub, columns[jp - 1], columns[j - 1]))
-        if a != expected:
-            raise BUpdateMismatch(
-                f"b update for {cd.ctype} word {w} at j={j}: A_j is {render(a)}, "
-                f"the forward map of the b recursion needs {render(expected)}"
-            )
-        table.append((jp, a[j - 1 : jp]))
-    table = w.cache["a_monomials"] = tuple(table)
-    return table
 
 
 def _key_width(max_vertices: int) -> int:
@@ -281,20 +205,138 @@ def _key_width(max_vertices: int) -> int:
     return (3 * max(max_vertices, 1) + 1).bit_length() + 1
 
 
-def _pack(values, width: int, start: int = 0) -> int:
+def _pack(values: tuple[int, ...], width: int, start: int = 0) -> int:
     """sum_t values[t] * 2^(width * (start + t)): one integer per exponent vector."""
-    return sum(x << (width * t) for t, x in enumerate(values, start=start))
+    return sum(map(lshift, values, range(width * start, width * (start + len(values)), width)))
 
 
-def _a_keys(w: ReducedWord, table: tuple, width: int) -> tuple:
-    """_pack(A_j) for every entry of the firing table, kept on the word per width."""
-    name = ("a_keys", width)
-    keys = w.cache.get(name)
-    if keys is None:
-        keys = w.cache[name] = tuple(
-            None if e is None else _pack(e[1], width, j) for j, e in enumerate(table)
-        )
-    return keys
+class Firing(NamedTuple):
+    """The facts about a position j that a build reads to fire it, proven once per word."""
+
+    j: int
+    # j+, the next position with letter i_j
+    jp: int
+    # the exponents of A_j at j..j+; A_j is zero elsewhere
+    window: tuple[int, ...]
+    # j^{2+}, j^{3+}, ... up to N: the positions rule (b) walks
+    chain: tuple[int, ...]
+    # _pack(A_j, width), which reads A_j on its window only
+    key: int
+
+
+def _firing_table(cd: CartanData, w: ReducedWord, width: int) -> tuple:
+    """Per position j, its Firing record, or None when j+ > N; kept on the word per key width.
+
+    Proves the shift identity once per word, for every i: b(d / A_j) - b(d)
+    = -T^{-1} A_j, which is e_j - e_{j+} exactly when A_j = T e_{j+} - T e_j,
+    for T the linear part of the forward map d = T b - s. Solving the b
+    recursion for d gives d_t = b_t + sum_{l>t} a_{i_t, i_l} b_l - s_t, so T
+    is unit upper triangular with T[t][l] = a_{i_t, i_l} above the diagonal.
+    Columns j and j+ of T agree above j, because i_{j+} = i_j, and both are
+    zero below j+, so T e_{j+} - T e_j is zero outside the window j..j+ and
+    reads a_{i_j, i_j} - 1, a_{i_l, i_j} for j < l < j+, and 1 on it. The
+    proof compares a_monomial with those entries, read from cd.rows as
+    b_from_d reads them, and requires it to be zero outside the window.
+    """
+    name = ("firing", width)
+    table = w.cache.get(name)
+    if table is not None:
+        return table
+    letters, jplus, N = w.letters, w.jplus, w.N
+    # columns[c][t-1] = a_{i_t, c+1}, T's entry at row t in a column of letter c+1
+    columns = [tuple(row[c] for row in (cd.rows[x - 1] for x in letters)) for c in range(cd.n)]
+    table = []
+    for j, jp in enumerate(jplus, start=1):
+        if jp > N:
+            table.append(None)
+            continue
+        a = a_monomial(cd, w, j)
+        c = letters[j - 1] - 1
+        expected = (cd.rows[c][c] - 1, *columns[c][j : jp - 1], 1)
+        window = a[j - 1 : jp]
+        if window != expected or any(a[: j - 1]) or any(a[jp:]):
+            needed = (0,) * (j - 1) + expected + (0,) * (N - jp)
+            raise BUpdateMismatch(
+                f"b update for {cd.ctype} word {w} at j={j}: A_j is {render(a)}, "
+                f"the forward map of the b recursion needs {render(needed)}"
+            )
+        chain = []
+        pos = jplus[jp - 1]
+        while pos <= N:
+            chain.append(pos)
+            pos = jplus[pos - 1]
+        table.append(Firing(j, jp, window, tuple(chain), _pack(window, width, j - 1)))
+    table = w.cache[name] = tuple(table)
+    return table
+
+
+def _worklist(records: tuple, width: int, max_vertices: int, d0: tuple, b0: tuple, expand: int | None = None):
+    """The FIFO expansion from (d0, b0), as (ds, bs, edges): the one place the firing rule runs.
+
+    Vertex ids follow creation order, so the queue is a running id; it stops
+    after expanding `expand` vertices, or when it runs dry if expand is None. A
+    vertex is found by its key _pack(d, width); an edge subtracts the key of
+    A_j from its record, and only a new vertex builds its d tuple, from its
+    parent's through the window of A_j, and its b, the parent's shifted at j
+    and j+. Creating a vertex beyond max_vertices raises VertexCapExceeded.
+    """
+    key0 = _pack(d0, width)
+    ids = {key0: 0}
+    ds, bs, keys = [d0], [b0], [key0]
+    edges = []
+
+    v = 0
+    while v < len(ds) and v != expand:
+        d, b, key = ds[v], bs[v], keys[v]
+        v += 1
+        # only a position with d_j != 0 can fire, and the records ascend in j
+        for rec in compress(records, d):
+            if rec is None:
+                continue
+            j, jp, window, chain, a_key = rec
+            dj = d[j - 1]
+            if dj <= 0 or b[jp - 1] <= 0:
+                continue
+            djp = d[jp - 1]
+            if djp > dj:
+                continue
+            if djp == dj:
+                # (b): (d, b) = (0, 0) along the chain until it ends in (-1, 1)
+                for pos in chain:
+                    if d[pos - 1] or b[pos - 1]:
+                        break
+                else:
+                    continue
+                if d[pos - 1] != -1 or b[pos - 1] != 1:
+                    continue
+            key2 = key - a_key
+            u = ids.get(key2)
+            if u is None:
+                if len(ds) >= max_vertices:
+                    raise VertexCapExceeded(f"vertex cap {max_vertices} hit")
+                u = ids[key2] = len(ds)
+                ds.append(d[: j - 1] + tuple(map(sub, d[j - 1 : jp], window)) + d[jp:])
+                b2 = list(b)
+                b2[j - 1] += 1
+                b2[jp - 1] -= 1
+                bs.append(tuple(b2))
+                keys.append(key2)
+            # an edge holds the stored d tuple, not an equal copy
+            edges.append((d, j, ds[u]))
+    return ds, bs, edges
+
+
+def firing_labels(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """All positions that fire from (d, b), ascending: the labels of a build's edges out of d.
+
+    The worklist expands (d, b) alone, so the rule is the build's own. Every
+    fire adds an edge, whether or not its child merges with another, so the
+    labels do not depend on the key width; up to N children fit under the cap.
+    """
+    cap = w.N + 1
+    width = _key_width(cap)
+    _, _, edges = _worklist(_firing_table(w.cd, w, width), width, cap, d, b, expand=1)
+    return [j for _, j, _ in edges]
 
 
 def build_graph(
@@ -306,19 +348,14 @@ def build_graph(
 ) -> DecoGraph:
     """Worklist construction of the whole monomial graph for one index i.
 
-    FIFO over vertices, each expanded exactly once, labels ascending. With
-    the b update proven once per word by the affine argument (_firing_table),
-    an edge is a subtraction by the cached A_j, and a new vertex stores its
-    parent's b shifted at j and j+; verify_graph still recomputes b from the
-    recursion at every vertex. force only lifts UnsupportedIndex for a
-    (type, i) without a proven description. A word validated for another
-    Cartan matrix raises WordError; reaching max_vertices raises
-    VertexCapExceeded.
-
-    Vertex ids follow creation order, so the FIFO queue is a running id. A
-    vertex is found by its key _pack(d, width), with width from _key_width;
-    an edge subtracts key(A_j), and only a new vertex builds its d tuple,
-    from its parent's through the window of A_j.
+    FIFO over vertices, each expanded exactly once, labels ascending
+    (_worklist). The firing rule runs inline on the word's Firing records
+    (_firing_table), which also prove the b update once per word, so a new
+    vertex stores its parent's b shifted at j and j+; verify_graph still
+    recomputes b from the recursion at every vertex. force only lifts
+    UnsupportedIndex for a (type, i) without a proven description. A word
+    validated for another Cartan matrix raises WordError; reaching
+    max_vertices raises VertexCapExceeded.
     """
     if w.cd != cd:
         raise WordError(f"word {w} was validated for {w.cd.ctype}, not {cd.ctype}")
@@ -329,34 +366,11 @@ def build_graph(
         )
 
     d0, b0 = initial_vertex(cd, w, i)
-    table = _firing_table(cd, w)
     width = _key_width(max_vertices)
-    a_keys = _a_keys(w, table, width)
-    key0 = _pack(d0, width)
-    ids = {key0: 0}
-    ds, bs, keys = [d0], [b0], [key0]
-    edges = []
-
-    v = 0
-    while v < len(ds):
-        d, b, key = ds[v], bs[v], keys[v]
-        v += 1
-        for j in firing_labels(w, d, b):
-            key2 = key - a_keys[j - 1]
-            u = ids.get(key2)
-            if u is None:
-                if len(ds) >= max_vertices:
-                    raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})")
-                u = ids[key2] = len(ds)
-                jp, window = table[j - 1]
-                ds.append(d[: j - 1] + tuple(map(sub, d[j - 1 : jp], window)) + d[jp:])
-                b2 = list(b)
-                b2[j - 1] += 1
-                b2[jp - 1] -= 1
-                bs.append(tuple(b2))
-                keys.append(key2)
-            # an edge holds the stored d tuple, not an equal copy
-            edges.append((d, j, ds[u]))
+    try:
+        ds, bs, edges = _worklist(_firing_table(cd, w, width), width, max_vertices, d0, b0)
+    except VertexCapExceeded:
+        raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})") from None
     vertices = dict(zip(ds, bs))
 
     return DecoGraph(

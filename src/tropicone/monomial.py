@@ -46,12 +46,10 @@ def a_monomial(cd: CartanData, w: ReducedWord, j: int) -> tuple[int, ...]:
     jp = j_plus(w, j)
     if jp > w.N:
         raise NoNextOccurrence(f"letter {w.letter(j)} does not occur again after position {j}")
+    c = w.letters[j - 1] - 1
     out = [0] * w.N
-    out[j - 1] = 1
-    out[jp - 1] = 1
-    ij = w.letter(j)
-    for l in range(j + 1, jp):
-        out[l - 1] = cd.a(w.letter(l), ij)
+    out[j : jp - 1] = [cd.rows[x - 1][c] for x in w.letters[j : jp - 1]]
+    out[j - 1] = out[jp - 1] = 1
     return tuple(out)
 
 

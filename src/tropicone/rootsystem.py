@@ -11,6 +11,11 @@ Conventions, fixed once for the whole package:
 * a root lives in simple-root coordinates, entry t-1 is the coefficient of
   ``alpha_t``.
 
+The root table (root_table, built once per root system) lists every root
+with its coroot and, per simple reflection, the permutation of their indices;
+positive_roots, the largest coroot coefficients and the word code in
+wordtools read it.
+
 Diagrams are numbered as in Kac's tables: A/B/C are chains 1..n with the
 asymmetric bond at the tail (B has a[n][n-1] = -2, C has a[n-1][n] = -2),
 D forks at the tail (n-1 and n both attached to n-2), E6/E7/E8 hang their
@@ -165,20 +170,63 @@ def reflect_root(cd: CartanData, j: int, beta: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class RootTable:
+    """Every root of a root system with its coroot, and how each s_j permutes them.
+
+    ``roots`` lists the positive roots first, alpha_1 .. alpha_n at indices
+    0 .. n-1, then their negatives in the same order, so a root is positive
+    exactly when its index is below ``positive``. ``coroots[r]`` is the coroot
+    of ``roots[r]`` in simple-coroot coordinates, and ``reflections[j-1][r]``
+    is the index of s_j(roots[r]).
+    """
+
+    positive: int
+    roots: tuple[tuple[int, ...], ...]
+    coroots: tuple[tuple[int, ...], ...]
+    reflections: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
+def root_table(cd: CartanData) -> RootTable:
+    """The root table of cd, built once per root system.
+
+    The positive roots are the reflection closure of the simple roots inside
+    the positive cone. A root reached as s_j(beta) gets the coroot
+    s_j(beta^vee), reflected through the dual matrix: the coroot map commutes
+    with the Weyl group, and the simple coroots have the simple roots'
+    coordinates.
+    """
+    dual = dual_cartan(cd)
+    roots = [simple_root(cd.n, j) for j in range(1, cd.n + 1)]
+    coroots = list(roots)
+    images = []  # images[r][j-1] = s_j(roots[r]), for the positive roots
+    index = {beta: r for r, beta in enumerate(roots)}
+    for beta, gamma in zip(roots, coroots):  # both lists grow while this walks them
+        images.append([reflect_root(cd, j, beta) for j in range(1, cd.n + 1)])
+        for j, img in enumerate(images[-1], start=1):
+            # the image of a root is a root, so no negative coefficient means positive
+            if min(img) >= 0 and img not in index:
+                index[img] = len(roots)
+                roots.append(img)
+                coroots.append(reflect_root(dual, j, gamma))
+    positive = len(roots)
+    for r in range(positive):
+        roots.append(tuple(-x for x in roots[r]))
+        coroots.append(tuple(-x for x in coroots[r]))
+        index[roots[-1]] = positive + r
+    # s_j(-beta) = -s_j(beta), and negation moves an index by positive
+    up = [[index[img] for img in column] for column in zip(*images)]
+    reflections = tuple(
+        tuple(row) + tuple(r + positive if r < positive else r - positive for r in row) for row in up
+    )
+    return RootTable(positive, tuple(roots), tuple(coroots), reflections)
+
+
 def positive_roots(cd: CartanData) -> frozenset[tuple[int, ...]]:
-    """All positive roots, as the reflection closure of the simple roots."""
-    roots = {simple_root(cd.n, j) for j in range(1, cd.n + 1)}
-    frontier = list(roots)
-    while frontier:
-        beta = frontier.pop()
-        for j in range(1, cd.n + 1):
-            img = reflect_root(cd, j, beta)
-            # positive: nonzero with no negative coefficient
-            if any(img) and min(img) >= 0 and img not in roots:
-                roots.add(img)
-                frontier.append(img)
-    return frozenset(roots)
+    """All positive roots."""
+    table = root_table(cd)
+    return frozenset(table.roots[: table.positive])
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +236,8 @@ def max_coroot_coefficients(cd: CartanData) -> tuple[int, ...]:
     That is max |<h_t, mu>| over t and the weights mu of V(-w0 Lambda_i), whose
     extremal weights -W Lambda_i pair with h_t as Lambda_i with the coroots.
     """
-    return tuple(map(max, zip(*positive_roots(dual_cartan(cd)))))
+    table = root_table(cd)
+    return tuple(map(max, zip(*table.coroots[: table.positive])))
 
 
 @lru_cache(maxsize=None)

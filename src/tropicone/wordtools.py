@@ -3,19 +3,20 @@
 A word (i_1, ..., i_N) is validated through its beta sequence
 beta_k = s_{i_N} s_{i_N-1} ... s_{i_k+1} (alpha_{i_k}): the word is a reduced
 word of w0 exactly when N = |Phi+| and the beta_k are N pairwise distinct
-positive roots. The product M = s_{i_N} ... s_{i_k+1} is carried as its
-columns on simple-root coordinates from k = N down, so beta_k is column i_k
-of M and one column update per letter gives the next M; enumeration keeps
-the running product of a prefix the same way. The sequence is cached on the
-word because source_index and several downstream checks reuse it, and so is
-the table of next occurrences j -> j+ that every firing step reads.
+positive roots. Each beta_k is walked through the root table of the root
+system (rootsystem.root_table, built once per root system), which lists
+every root and, per letter, the index of its reflection: beta_k costs N - k
+table lookups, and the word keeps the root indices, from which the coroot
+sequence is read off the same table. Enumeration carries each prefix as the
+permutation of the table's roots it induces. The word also keeps the table
+of next occurrences j -> j+ that every firing step reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootsystem import CartanData, positive_roots, simple_root
+from .rootsystem import CartanData, RootSystemError, root_table
 
 
 class WordError(ValueError):
@@ -38,7 +39,8 @@ class LimitExceeded(RuntimeError):
 class ReducedWord:
     cd: CartanData
     letters: tuple[int, ...]
-    beta: tuple[tuple[int, ...], ...] = field(repr=False)
+    # beta_ids[k-1]: the index of beta_k in root_table(cd).roots
+    beta_ids: tuple[int, ...] = field(repr=False, compare=False)
     # jplus[j-1] = j+, the next position with letter i_j, or N+1 when none
     jplus: tuple[int, ...] = field(repr=False, compare=False)
     # per-word facts other modules prove once and keep (see decograph)
@@ -48,6 +50,12 @@ class ReducedWord:
     def N(self) -> int:
         return len(self.letters)
 
+    @property
+    def beta(self) -> tuple[tuple[int, ...], ...]:
+        """The beta sequence as roots in simple-root coordinates."""
+        roots = root_table(self.cd).roots
+        return tuple(roots[r] for r in self.beta_ids)
+
     def letter(self, j: int) -> int:
         """i_j, 1-based j."""
         return self.letters[j - 1]
@@ -56,26 +64,20 @@ class ReducedWord:
         return ",".join(str(x) for x in self.letters)
 
 
-def _identity_columns(n: int) -> list[tuple[int, ...]]:
-    return [tuple(1 if r == c else 0 for r in range(n)) for c in range(n)]
+def _beta_sequence(cd: CartanData, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """beta_1, ..., beta_N as indices into root_table(cd).roots.
 
-
-def _times_reflection(cd: CartanData, cols: list[tuple[int, ...]], j0: int) -> None:
-    """cols <- cols * s_{j0+1}: col_c -= a[j][c] * col_j, rebinding only the changed columns."""
-    base = cols[j0]
-    for c0, acoef in enumerate(cd.rows[j0]):
-        if acoef:
-            cols[c0] = tuple(x - acoef * y for x, y in zip(cols[c0], base))
-
-
-def _beta_sequence(cd: CartanData, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # cols[c][r]: coefficient of alpha_{r+1} in M(alpha_{c+1}), M = s_{i_N} ... s_{i_{k+1}}
-    cols = _identity_columns(cd.n)
-    betas = []
-    for letter in reversed(letters):
-        betas.append(cols[letter - 1])
-        _times_reflection(cd, cols, letter - 1)
-    return tuple(reversed(betas))
+    alpha_{i_k} has index i_k - 1, and beta_k is its image under
+    s_{i_{k+1}}, then s_{i_{k+2}}, ..., then s_{i_N}: each letter moves the
+    roots of every earlier position one reflection on, one lookup each.
+    """
+    reflections = root_table(cd).reflections
+    ids: list[int] = []
+    for x in letters:
+        step = reflections[x - 1]
+        ids = [step[r] for r in ids]
+        ids.append(x - 1)
+    return tuple(ids)
 
 
 def _next_occurrences(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -91,38 +93,43 @@ def _next_occurrences(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def validate_word(cd: CartanData, letters) -> ReducedWord:
-    """Check that letters form a reduced word of w0 and cache its beta sequence."""
+    """Check that letters form a reduced word of w0 and keep its beta sequence."""
     seq = tuple(int(x) for x in letters)
     for x in seq:
         if not 1 <= x <= cd.n:
             raise WordError(f"letter {x} out of [1, {cd.n}]")
-    expected = len(positive_roots(cd))
+    expected = root_table(cd).positive
     if len(seq) != expected:
         raise WrongLength(f"expected {expected} letters for {cd.ctype}, got {len(seq)}")
-    betas = _beta_sequence(cd, seq)
-    positive = all(any(b) and min(b) >= 0 for b in betas)
-    if not positive or len(set(betas)) != len(betas):
+    ids = _beta_sequence(cd, seq)
+    if max(ids) >= expected or len(set(ids)) != len(ids):
         raise NotReducedOrNotLongest(f"{seq} is not a reduced word of the longest element")
-    return ReducedWord(cd, seq, betas, _next_occurrences(seq))
+    return ReducedWord(cd, seq, ids, _next_occurrences(seq))
+
+
+def parse_letters(text: str) -> tuple[int, ...]:
+    """The letters of a comma-separated word like "2,3,2,1,2,3,2,3,1", not yet validated."""
+    parts = [p for p in text.replace(" ", "").split(",") if p]
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError as e:
+        raise WordError(f"cannot parse word from {text!r}") from e
 
 
 def parse_word(cd: CartanData, text: str) -> ReducedWord:
-    """Parse a comma-separated word like "2,3,2,1,2,3,2,3,1"."""
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    try:
-        seq = [int(p) for p in parts]
-    except ValueError as e:
-        raise WordError(f"cannot parse word from {text!r}") from e
-    return validate_word(cd, seq)
+    """Parse and validate a comma-separated word like "2,3,2,1,2,3,2,3,1"."""
+    return validate_word(cd, parse_letters(text))
 
 
 def source_index(w: ReducedWord, i: int) -> int:
     """The unique k with beta_k = alpha_i."""
-    target = simple_root(w.cd.n, i)
-    for k, beta in enumerate(w.beta, start=1):
-        if beta == target:
-            return k
-    raise WordError(f"no position carries alpha_{i}; the word is corrupt")
+    if not 1 <= i <= w.cd.n:
+        raise RootSystemError(f"index {i} out of [1, {w.cd.n}]")
+    try:
+        # alpha_i is root i - 1 of the table
+        return w.beta_ids.index(i - 1) + 1
+    except ValueError:
+        raise WordError(f"no position carries alpha_{i}; the word is corrupt") from None
 
 
 def j_plus(w: ReducedWord, j: int) -> int:
@@ -134,18 +141,17 @@ def enumerate_w0_words(cd: CartanData, limit: int = 100000):
     """Yield every reduced word of w0 in lexicographic order.
 
     Depth-first search over prefixes; a letter j may extend a prefix w exactly
-    when w(alpha_j) is still positive. The running product is kept as the
-    matrix of w on simple-root coordinates, columnwise. Raises LimitExceeded
-    on the word after the cap.
+    when w(alpha_j) is still positive. The prefix w is carried as the
+    permutation of the root table it induces, perm[r] = the index of
+    w(roots[r]), so w s_j is perm read through s_j's reflection row. Raises
+    LimitExceeded on the word after the cap.
     """
-    n = cd.n
-    N = len(positive_roots(cd))
-    # cols[c][r]: coefficient of alpha_{r+1} in w(alpha_{c+1})
-    cols = _identity_columns(n)
+    table = root_table(cd)
+    N, reflections = table.positive, table.reflections
     word: list[int] = []
     emitted = 0
 
-    def walk():
+    def walk(perm: list[int]):
         nonlocal emitted
         if len(word) == N:
             if emitted >= limit:
@@ -153,14 +159,12 @@ def enumerate_w0_words(cd: CartanData, limit: int = 100000):
             emitted += 1
             yield validate_word(cd, tuple(word))
             return
-        for j0 in range(n):
-            if min(cols[j0]) < 0:
+        for j0, step in enumerate(reflections):
+            # alpha_{j0+1} is root j0, and w(alpha_{j0+1}) is positive below index N
+            if perm[j0] >= N:
                 continue
-            saved = cols[:]
-            _times_reflection(cd, cols, j0)
             word.append(j0 + 1)
-            yield from walk()
+            yield from walk([perm[r] for r in step])
             word.pop()
-            cols[:] = saved
 
-    yield from walk()
+    yield from walk(list(range(len(table.roots))))

@@ -2,8 +2,9 @@
 
 Each one recomputes something the package computes faster, the slow way and
 without sharing the package's shortcut: seeded reduced words by reflecting
-simple roots through each prefix, the source b by chains of
-reflections, the firing rule by a scan over every position, the graph by a
+simple roots through each prefix, the beta sequence by one reflection at a
+time, the source b by chains of reflections, the firing rule by a scan over
+every position with its own chain test, the graph by a
 BFS keyed by the d tuples themselves, b at the ends of the i-trails by
 the recursion, the i-trails by a walk over every state of the weight
 diagram, the type A minor by carrying every minor on its rows over full-length
@@ -17,7 +18,7 @@ from itertools import product
 from operator import sub
 
 from tropicone import oracle
-from tropicone.decograph import _condition_b, b_from_d, initial_vertex
+from tropicone.decograph import b_from_d, initial_vertex
 from tropicone.monomial import a_monomial
 from tropicone.oracle import _trails, minuscule_weight_diagram
 from tropicone.rootsystem import fundamental_weight, reflect, reflect_root, simple_root, simple_root_weight
@@ -38,6 +39,17 @@ def random_word(cd, rng):
         if not allowed:
             return validate_word(cd, letters)
         letters.append(rng.choice(allowed))
+
+
+def reflection_beta_sequence(cd, letters):
+    """beta_k = s_{i_N} ... s_{i_{k+1}}(alpha_{i_k}) for every k, one reflection at a time."""
+    out = []
+    for k, letter in enumerate(letters, start=1):
+        beta = simple_root(cd.n, letter)
+        for later in letters[k:]:
+            beta = reflect_root(cd, later, beta)
+        out.append(beta)
+    return tuple(out)
 
 
 def reflection_closed_form(cd, w, i, k):
@@ -61,6 +73,20 @@ def reflection_closed_form(cd, w, i, k):
     return tuple(out)
 
 
+def _condition_b(w, d, b, j):
+    """The (d,b) = (0,0) ... (-1,1) chain test along j^{2+}, j^{3+}, ..."""
+    jplus, N = w.jplus, w.N
+    pos = jplus[jplus[j - 1] - 1]
+    while pos <= N:
+        dp, bp = d[pos - 1], b[pos - 1]
+        if dp == -1 and bp == 1:
+            return True
+        if dp or bp:
+            return False
+        pos = jplus[pos - 1]
+    return False
+
+
 def scan_firing_labels(w, d, b):
     """The firing rule tested at every position j in turn, ascending."""
     N = w.N
@@ -74,6 +100,14 @@ def scan_firing_labels(w, d, b):
         djp = d[jp - 1]
         if djp < dj or (djp == dj and _condition_b(w, d, b, j)):
             out.append(j)
+    return out
+
+
+def out_labels(g):
+    """The labels of each vertex's out-edges in edge order: what fired there, ascending."""
+    out = {d: [] for d in g.vertices}
+    for src, j, _ in g.edges:
+        out[src].append(j)
     return out
 
 

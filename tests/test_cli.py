@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tropicone import cli, decograph, stringcone
+from tropicone import cli, decograph, stringcone, wordtools
 from tropicone.cli import main
 
 C3_ARGS = ["--type", "C3", "--word", "2,3,2,1,2,3,2,3,1"]
@@ -40,6 +40,14 @@ GOLDEN = [
     (
         ["oracle", "--type", "A4", "--word", "2,4,1,3,2,3,4,3,1,2"],
         "888ddb8e801a807f0f99d699e0b5b2cb1396f6f835372564bc5df873b47452c6",
+    ),
+    (
+        ["oracle", "--type", "C3", "--all-words", "--census-bound", "1"],
+        "2a3f0f983c6a928096420a5a77fece0ad38162da6b9db077f83d288af3703346",
+    ),
+    (
+        ["oracle", "--type", "B3", "--all-words", "--census-bound", "1"],
+        "6194d0c2f78f30c13b6e51e2b45e9a879101bb406517fc2ba26d706807e96df7",
     ),
 ]
 
@@ -225,6 +233,20 @@ def test_oracle_builds_each_graph_once(capsys, monkeypatch):
     # 16 words, 4 of them censused, 3 indices each
     assert len(built) == len(doc["agreement"]) == 48
     assert doc["census_checked"] == 4 * 4
+
+
+def test_oracle_validates_only_the_words_it_checks(capsys, monkeypatch):
+    # outside type A only the four censused words of the enumeration are used
+    validated = []
+
+    def validate(cd, letters):
+        validated.append(letters)
+        return wordtools.validate_word(cd, letters)
+
+    monkeypatch.setattr(cli, "validate_word", validate)
+    rc, out, _ = run(capsys, "oracle", "--type", "B3", "--all-words", "--census-bound", "1")
+    assert rc == 0 and json.loads(out)["input"]["words"] == 42
+    assert len(validated) == 4
 
 
 def test_oracle_single_word_g2(capsys):

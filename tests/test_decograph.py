@@ -37,7 +37,7 @@ from tropicone.decograph import (
 
 import fixture_data as fx
 from fixture_data import ev
-from references import random_word, reflection_closed_form, scan_firing_labels, tuple_keyed_graph
+from references import out_labels, random_word, reflection_closed_form, scan_firing_labels, tuple_keyed_graph
 
 
 def test_supported_classical():
@@ -140,13 +140,11 @@ def test_closed_form_matches_reflections_on_seeded_words(name):
 
 
 def test_firing_labels(c3, c3_word):
-    g = build_graph(c3, c3_word, 2)
+    fired = out_labels(build_graph(c3, c3_word, 2))
     # d_3 = d_5 = 1 with the (0,0)...(-1,1) chain at 3, and d_7 = -1 < d_5
-    d = ev(9, {3: 1, 5: 1, 7: -1})
-    assert firing_labels(c3_word, d, g.vertices[d]) == [3, 5]
+    assert fired[ev(9, {3: 1, 5: 1, 7: -1})] == [3, 5]
     # the sink fires nothing
-    sink = ev(9, fx.C3_SINK)
-    assert firing_labels(c3_word, sink, g.vertices[sink]) == []
+    assert fired[ev(9, fx.C3_SINK)] == []
 
 
 def test_c3_graph_exact(c3, c3_word):
@@ -248,9 +246,8 @@ def test_word_of_another_cartan_matrix_is_rejected(b3, c3):
 
 def test_minuscule_rule_matches_generic(c3, b3):
     for cd, w, i in [(c3, validate_word(c3, fx.C3_WORD_ALT), 1), (b3, next(enumerate_w0_words(b3, limit=1)), 3)]:
-        g = build_graph(cd, w, i)
-        for d, b in g.vertices.items():
-            assert firing_labels_minuscule(w, d) == firing_labels(w, d, b), d
+        for d, fired in out_labels(build_graph(cd, w, i)).items():
+            assert firing_labels_minuscule(w, d) == fired, d
 
 
 def test_edges_hold_the_stored_vertex_keys(c3, c3_word):
@@ -271,7 +268,16 @@ def graph_cases():
     cases += [(g2, validate_word(g2, letters), i) for letters in (fx.G2_WORD_A, fx.G2_WORD_B) for i in (1, 2)]
     cases.append((e6, next(enumerate_w0_words(e6, limit=1)), 3))
     seeded = validate_word(e6, fx.EXCEPTIONAL_WORDS["E6"])
-    return cases + [(e6, seeded, i) for i in range(1, 7)]
+    cases += [(e6, seeded, i) for i in range(1, 7)]
+    # seeded words of the classical types, and forced F4 and E7, each at every i;
+    # every graph of the first E7 word of its seed stays under the default cap
+    for name, count in (("B4", 2), ("C4", 2), ("D5", 2), ("F4", 1), ("E7", 1)):
+        cd = cartan_matrix(CartanType.parse(name))
+        rng = random.Random(name)
+        for _ in range(count):
+            w = random_word(cd, rng)
+            cases += [(cd, w, i) for i in range(1, cd.n + 1)]
+    return cases
 
 
 def test_build_matches_a_tuple_keyed_bfs():
@@ -350,6 +356,24 @@ def test_corrupted_a_monomial_is_caught(c3, monkeypatch):
         build_graph(c3, w, 2, force=True)
 
 
+@pytest.mark.parametrize("stray", [2, 9], ids=["before", "after"])
+def test_a_monomial_with_a_stray_entry_outside_its_window_is_caught(c3, monkeypatch, stray):
+    # the proof reads A_j on its window j..j+ and must still see an entry outside it;
+    # in 2,3,2,1,2,3,2,3,1 the window of A_5 is 5..7
+    w = validate_word(c3, fx.C3_WORD)
+    real = decograph.a_monomial
+
+    def strayed(cd, word, j):
+        a = list(real(cd, word, j))
+        if j == 5:
+            a[stray - 1] = 1
+        return tuple(a)
+
+    monkeypatch.setattr(decograph, "a_monomial", strayed)
+    with pytest.raises(BUpdateMismatch, match="j=5"):
+        build_graph(c3, w, 2)
+
+
 @pytest.mark.parametrize("name", ["c3", "b3"])
 def test_transposed_a_monomial_is_caught(name, request, monkeypatch):
     # A_j with a_{i_j, i_l} in place of a_{i_l, i_j}: the same on a symmetric
@@ -417,7 +441,7 @@ def _tamper(g, how):
     """One change to an honest graph that the minuscule closure rejects."""
     w = g.word
     d0 = g.source
-    firing = firing_labels(w, d0, g.vertices[d0])
+    firing = out_labels(g)[d0]
     j = next(j for j in range(1, w.N + 1) if w.jplus[j - 1] <= w.N and j not in firing)
     extra = tuple(map(sub, d0, a_monomial(g.cd, w, j)))
     assert extra not in g.vertices

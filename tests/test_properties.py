@@ -16,14 +16,13 @@ from tropicone.rootsystem import (
     minuscule_indices,
     reflect,
     reflect_root,
-    simple_root,
 )
 from tropicone.wordtools import enumerate_w0_words, j_plus
 from tropicone.monomial import a_monomial
-from tropicone.decograph import b_from_d, build_graph, firing_labels, firing_labels_minuscule, verify_graph
+from tropicone.decograph import b_from_d, build_graph, firing_labels_minuscule, verify_graph
 from tropicone.stringcone import ConeSystem, dual_kostant_count, string_cone, weight_census, weights_up_to
 
-from references import brute_force_census
+from references import brute_force_census, out_labels, reflection_beta_sequence
 
 CDS = [cartan_matrix(CartanType.parse(name)) for name in ("A3", "B3", "C3", "D4", "G2", "F4")]
 WORD_POOL = [
@@ -71,14 +70,6 @@ def literal_pool(name):
     return cd, list(islice(enumerate_w0_words(cd), LITERAL_WORD_COUNTS[name]))
 
 
-def beta_by_reflections(cd, letters, k):
-    """beta_k = s_{i_N} ... s_{i_{k+1}}(alpha_{i_k}), one reflection at a time."""
-    beta = simple_root(cd.n, letters[k - 1])
-    for letter in letters[k:]:
-        beta = reflect_root(cd, letter, beta)
-    return beta
-
-
 def b_by_nested_sum(cd, w, i, d):
     """b_t = d_t + <h_{i_t}, s_i Lambda_i> - sum_{l>t} b_l a_{i_t, i_l}, from t = N down."""
     silam = reflect(cd, i, fundamental_weight(cd.n, i))
@@ -93,8 +84,7 @@ def b_by_nested_sum(cd, w, i, d):
 def test_beta_matches_the_reflection_chain(name):
     cd, words = literal_pool(name)
     for w in words:
-        for k in range(1, w.N + 1):
-            assert w.beta[k - 1] == beta_by_reflections(cd, w.letters, k), (str(w), k)
+        assert w.beta == reflection_beta_sequence(cd, w.letters), str(w)
 
 
 @pytest.mark.parametrize("name", LITERAL_WORD_COUNTS)
@@ -181,9 +171,8 @@ def word_and_minuscule_index(draw):
 def test_generic_rule_builds_the_minuscule_graph(args):
     # the same labels at every vertex of the FIFO build give the same graph
     cd, w, i = args
-    g = build_graph(cd, w, i)
-    for d, b in g.vertices.items():
-        assert firing_labels_minuscule(w, d) == firing_labels(w, d, b), d
+    for d, fired in out_labels(build_graph(cd, w, i)).items():
+        assert firing_labels_minuscule(w, d) == fired, d
 
 
 @settings(max_examples=10, deadline=None)

@@ -10,6 +10,7 @@ from tropicone.rootsystem import (
     positive_roots,
     reflect,
     reflect_root,
+    root_table,
     simple_root,
     simple_root_weight,
 )
@@ -139,6 +140,18 @@ def test_positive_root_counts(name, count):
     roots = positive_roots(cd)
     assert len(roots) == count
     assert all(any(r) and min(r) >= 0 for r in roots)
+    # every entry of the root table against reflect_root, on the roots and on the coroots
+    table, dual = root_table(cd), dual_cartan(cd)
+    assert table.positive == count and len(table.roots) == 2 * count
+    assert table.roots[: cd.n] == tuple(simple_root(cd.n, j) for j in range(1, cd.n + 1))
+    assert table.roots[count:] == tuple(tuple(-x for x in r) for r in table.roots[:count])
+    for j, row in enumerate(table.reflections, start=1):
+        for r, s in enumerate(row):
+            assert table.roots[s] == reflect_root(cd, j, table.roots[r])
+            assert table.coroots[s] == reflect_root(dual, j, table.coroots[r])
+    # <beta^vee, beta> = 2, with <alpha_c^vee, alpha_c'> = a_{c,c'}
+    for beta, gamma in zip(table.roots, table.coroots):
+        assert sum(g * a * b for g, row in zip(gamma, cd.rows) for a, b in zip(row, beta)) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from tropicone.rootsystem import positive_roots, simple_root
+from tropicone.rootsystem import CartanType, cartan_matrix, dual_cartan, positive_roots, root_table, simple_root
 from tropicone.wordtools import (
     LimitExceeded,
     NotReducedOrNotLongest,
@@ -14,6 +16,7 @@ from tropicone.wordtools import (
 )
 
 import fixture_data as fx
+from references import random_word, reflection_beta_sequence
 
 
 def test_validate_fixture_words(c3, d4, g2):
@@ -57,6 +60,36 @@ def test_beta_sequence_is_positive_roots(c3, c3_word, b3):
     assert set(c3_word.beta) == set(positive_roots(c3))
     wb = validate_word(b3, (1, 2, 1, 3, 2, 1, 3, 2, 3))
     assert set(wb.beta) == set(positive_roots(b3))
+
+
+# (name, how many seeded words); None takes every reduced word
+BETA_CASES = [("A3", None), ("B3", None), ("C3", None), ("G2", None)] + [
+    (name, 3) for name in ("B4", "C4", "D4", "F4", "E6", "E7", "E8")
+]
+
+
+@pytest.mark.parametrize("name, count", BETA_CASES, ids=[name for name, _ in BETA_CASES])
+def test_beta_sequence_matches_prefix_reflections(name, count):
+    cd = cartan_matrix(CartanType.parse(name))
+    if count is None:
+        words = [w.letters for w in enumerate_w0_words(cd)]
+    else:
+        rng = random.Random(name)
+        words = [random_word(cd, rng).letters for _ in range(count)]
+    dual = dual_cartan(cd)
+    for letters in words:
+        for m in (cd, dual):
+            assert validate_word(m, letters).beta == reflection_beta_sequence(m, letters), (str(m.ctype), letters)
+        # the coroot sequence is the dual matrix's beta sequence, read off cd's table
+        coroots = root_table(cd).coroots
+        w = validate_word(cd, letters)
+        assert tuple(coroots[r] for r in w.beta_ids) == reflection_beta_sequence(dual, letters), letters
+    # the right length, but s_{i_1} s_{i_1} = 1: not reduced
+    letters = words[0]
+    broken = letters[:1] + letters[:1] + letters[2:]
+    for m in (cd, dual):
+        with pytest.raises(NotReducedOrNotLongest):
+            validate_word(m, broken)
 
 
 def test_source_index(c3, c3_word, d4_word, g2_word_a, g2_word_b):
