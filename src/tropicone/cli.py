@@ -24,7 +24,7 @@ from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_gr
 from .oracle import MixedSigns
 from .rootsystem import CartanType, cartan_matrix
 from .stringcone import cone_from_graphs, dual_kostant_count, string_cone, weight_census, weights_up_to
-from .wordtools import LimitExceeded, enumerate_w0_words, parse_letters, parse_word, validate_word
+from .wordtools import LimitExceeded, enumerate_w0_letters, parse_letters, parse_word, validate_word
 
 OUTDIR_ENV = "TROPICONE_OUTDIR"
 
@@ -140,7 +140,7 @@ def cmd_oracle(args) -> int:
     cd = cartan_matrix(CartanType.parse(args.type))
     if args.all_words:
         # letters only, each validated when it is used: outside type A most words never are
-        words = [w.letters for w in enumerate_w0_words(cd, limit=args.word_limit)]
+        words = list(enumerate_w0_letters(cd, limit=args.word_limit))
     elif args.word:
         words = [parse_letters(args.word)]
     else:

@@ -21,8 +21,8 @@ holds when A_j = T e_{j+} - T e_j, which is zero outside the window j..j+
 because i_{j+} = i_j. It is proven once per word, on each window, and a
 failure, a convention bug, always raises, forced build or not. The same pass
 keeps one Firing record per position: j+, the window of A_j, the chain
-j^{2+}, j^{3+}, ... that rule (b) walks, and the packed key of A_j; the
-worklist applies the rule inline on these records, the one place it lives.
+j^{2+}, j^{3+}, ... that rule (b) walks, and the packed key of A_j; build_graph
+applies the rule inline on these records, the one place it lives.
 From then on b is a function of d, so a vertex keeps the b it was first
 reached with. The source b is checked against a closed form read off the
 coroot sequence beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}), looked up in
@@ -185,7 +185,7 @@ def initial_vertex(cd: CartanData, w: ReducedWord, i: int) -> tuple[tuple[int, .
 
 
 def firing_labels_minuscule(w: ReducedWord, d: tuple[int, ...]) -> list[int]:
-    """The minuscule rule d_j = 1, d_{j+} != 1; equals firing_labels on minuscule (type, i)."""
+    """The minuscule rule d_j = 1, d_{j+} != 1; equals a build's out-labels on minuscule (type, i)."""
     N = w.N
     return [j for j, jp in enumerate(w.jplus, start=1) if jp <= N and d[j - 1] == 1 and d[jp - 1] != 1]
 
@@ -270,23 +270,47 @@ def _firing_table(cd: CartanData, w: ReducedWord, width: int) -> tuple:
     return table
 
 
-def _worklist(records: tuple, width: int, max_vertices: int, d0: tuple, b0: tuple, expand: int | None = None):
-    """The FIFO expansion from (d0, b0), as (ds, bs, edges): the one place the firing rule runs.
+def build_graph(
+    cd: CartanData,
+    w: ReducedWord,
+    i: int,
+    force: bool = False,
+    max_vertices: int = 100000,
+) -> DecoGraph:
+    """Worklist construction of the whole monomial graph for one index i.
 
-    Vertex ids follow creation order, so the queue is a running id; it stops
-    after expanding `expand` vertices, or when it runs dry if expand is None. A
-    vertex is found by its key _pack(d, width); an edge subtracts the key of
-    A_j from its record, and only a new vertex builds its d tuple, from its
-    parent's through the window of A_j, and its b, the parent's shifted at j
-    and j+. Creating a vertex beyond max_vertices raises VertexCapExceeded.
+    FIFO over vertices, each expanded exactly once, labels ascending. The
+    firing rule runs inline on the word's Firing records (_firing_table),
+    the one place it lives; the same records prove the b update once per
+    word, so a new vertex stores its parent's b shifted at j and j+, and
+    verify_graph still recomputes b from the recursion at every vertex.
+    force only lifts UnsupportedIndex for a (type, i) without a proven
+    description. A word validated for another Cartan matrix raises
+    WordError; reaching max_vertices raises VertexCapExceeded.
+
+    Vertex ids follow creation order, so the FIFO queue is a running id. A
+    vertex is found by its key _pack(d, width), with width from _key_width;
+    an edge subtracts the key of A_j from its record, and only a new vertex
+    builds its d tuple, from its parent's through the window of A_j.
     """
+    if w.cd != cd:
+        raise WordError(f"word {w} was validated for {w.cd.ctype}, not {cd.ctype}")
+    status = supported(cd.ctype, i)
+    if status is SupportStatus.UNPROVEN and not force:
+        raise UnsupportedIndex(
+            f"no proven monomial description for ({cd.ctype}, i={i}); use force to build anyway"
+        )
+
+    d0, b0 = initial_vertex(cd, w, i)
+    width = _key_width(max_vertices)
+    records = _firing_table(cd, w, width)
     key0 = _pack(d0, width)
     ids = {key0: 0}
     ds, bs, keys = [d0], [b0], [key0]
     edges = []
 
     v = 0
-    while v < len(ds) and v != expand:
+    while v < len(ds):
         d, b, key = ds[v], bs[v], keys[v]
         v += 1
         # only a position with d_j != 0 can fire, and the records ascend in j
@@ -313,7 +337,7 @@ def _worklist(records: tuple, width: int, max_vertices: int, d0: tuple, b0: tupl
             u = ids.get(key2)
             if u is None:
                 if len(ds) >= max_vertices:
-                    raise VertexCapExceeded(f"vertex cap {max_vertices} hit")
+                    raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})")
                 u = ids[key2] = len(ds)
                 ds.append(d[: j - 1] + tuple(map(sub, d[j - 1 : jp], window)) + d[jp:])
                 b2 = list(b)
@@ -323,54 +347,6 @@ def _worklist(records: tuple, width: int, max_vertices: int, d0: tuple, b0: tupl
                 keys.append(key2)
             # an edge holds the stored d tuple, not an equal copy
             edges.append((d, j, ds[u]))
-    return ds, bs, edges
-
-
-def firing_labels(w: ReducedWord, d: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """All positions that fire from (d, b), ascending: the labels of a build's edges out of d.
-
-    The worklist expands (d, b) alone, so the rule is the build's own. Every
-    fire adds an edge, whether or not its child merges with another, so the
-    labels do not depend on the key width; up to N children fit under the cap.
-    """
-    cap = w.N + 1
-    width = _key_width(cap)
-    _, _, edges = _worklist(_firing_table(w.cd, w, width), width, cap, d, b, expand=1)
-    return [j for _, j, _ in edges]
-
-
-def build_graph(
-    cd: CartanData,
-    w: ReducedWord,
-    i: int,
-    force: bool = False,
-    max_vertices: int = 100000,
-) -> DecoGraph:
-    """Worklist construction of the whole monomial graph for one index i.
-
-    FIFO over vertices, each expanded exactly once, labels ascending
-    (_worklist). The firing rule runs inline on the word's Firing records
-    (_firing_table), which also prove the b update once per word, so a new
-    vertex stores its parent's b shifted at j and j+; verify_graph still
-    recomputes b from the recursion at every vertex. force only lifts
-    UnsupportedIndex for a (type, i) without a proven description. A word
-    validated for another Cartan matrix raises WordError; reaching
-    max_vertices raises VertexCapExceeded.
-    """
-    if w.cd != cd:
-        raise WordError(f"word {w} was validated for {w.cd.ctype}, not {cd.ctype}")
-    status = supported(cd.ctype, i)
-    if status is SupportStatus.UNPROVEN and not force:
-        raise UnsupportedIndex(
-            f"no proven monomial description for ({cd.ctype}, i={i}); use force to build anyway"
-        )
-
-    d0, b0 = initial_vertex(cd, w, i)
-    width = _key_width(max_vertices)
-    try:
-        ds, bs, edges = _worklist(_firing_table(cd, w, width), width, max_vertices, d0, b0)
-    except VertexCapExceeded:
-        raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})") from None
     vertices = dict(zip(ds, bs))
 
     return DecoGraph(
@@ -383,6 +359,14 @@ def build_graph(
         status=status,
         forced=force,
     )
+
+
+def firing_labels(g: DecoGraph, d: tuple[int, ...]) -> list[int]:
+    """The positions that fire at the vertex d of g, ascending: the labels of its out-edges.
+
+    Read off the finished graph, so the rule itself runs only in build_graph.
+    """
+    return [j for src, j, _ in g.edges if src == d]
 
 
 def _weight_L(b: tuple[int, ...]) -> int:

@@ -8,8 +8,9 @@ system (rootsystem.root_table, built once per root system), which lists
 every root and, per letter, the index of its reflection: beta_k costs N - k
 table lookups, and the word keeps the root indices, from which the coroot
 sequence is read off the same table. Enumeration carries each prefix as the
-permutation of the table's roots it induces. The word also keeps the table
-of next occurrences j -> j+ that every firing step reads.
+permutation of the table's roots it induces; its search already proves each
+word reduced and longest, so it can yield bare letter tuples. The word also
+keeps the table of next occurrences j -> j+ that every firing step reads.
 """
 
 from __future__ import annotations
@@ -137,14 +138,15 @@ def j_plus(w: ReducedWord, j: int) -> int:
     return w.jplus[j - 1]
 
 
-def enumerate_w0_words(cd: CartanData, limit: int = 100000):
-    """Yield every reduced word of w0 in lexicographic order.
+def enumerate_w0_letters(cd: CartanData, limit: int = 100000):
+    """Yield the letters of every reduced word of w0 in lexicographic order.
 
     Depth-first search over prefixes; a letter j may extend a prefix w exactly
-    when w(alpha_j) is still positive. The prefix w is carried as the
-    permutation of the root table it induces, perm[r] = the index of
-    w(roots[r]), so w s_j is perm read through s_j's reflection row. Raises
-    LimitExceeded on the word after the cap.
+    when w(alpha_j) is still positive, so every word of length |Phi+| the
+    search reaches is reduced and longest, and is yielded unvalidated. The
+    prefix w is carried as the permutation of the root table it induces,
+    perm[r] = the index of w(roots[r]), so w s_j is perm read through s_j's
+    reflection row. Raises LimitExceeded on the word after the cap.
     """
     table = root_table(cd)
     N, reflections = table.positive, table.reflections
@@ -157,7 +159,7 @@ def enumerate_w0_words(cd: CartanData, limit: int = 100000):
             if emitted >= limit:
                 raise LimitExceeded(f"more than {limit} reduced words")
             emitted += 1
-            yield validate_word(cd, tuple(word))
+            yield tuple(word)
             return
         for j0, step in enumerate(reflections):
             # alpha_{j0+1} is root j0, and w(alpha_{j0+1}) is positive below index N
@@ -168,3 +170,9 @@ def enumerate_w0_words(cd: CartanData, limit: int = 100000):
             word.pop()
 
     yield from walk(list(range(len(table.roots))))
+
+
+def enumerate_w0_words(cd: CartanData, limit: int = 100000):
+    """Every reduced word of w0 in lexicographic order, validated (enumerate_w0_letters)."""
+    for letters in enumerate_w0_letters(cd, limit):
+        yield validate_word(cd, letters)

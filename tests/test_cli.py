@@ -238,11 +238,14 @@ def test_oracle_builds_each_graph_once(capsys, monkeypatch):
 def test_oracle_validates_only_the_words_it_checks(capsys, monkeypatch):
     # outside type A only the four censused words of the enumeration are used
     validated = []
+    original = wordtools.validate_word
 
     def validate(cd, letters):
         validated.append(letters)
-        return wordtools.validate_word(cd, letters)
+        return original(cd, letters)
 
+    # the enumeration's own module binding as well as the command's
+    monkeypatch.setattr(wordtools, "validate_word", validate)
     monkeypatch.setattr(cli, "validate_word", validate)
     rc, out, _ = run(capsys, "oracle", "--type", "B3", "--all-words", "--census-bound", "1")
     assert rc == 0 and json.loads(out)["input"]["words"] == 42

@@ -8,6 +8,7 @@ from tropicone.wordtools import (
     NotReducedOrNotLongest,
     WordError,
     WrongLength,
+    enumerate_w0_letters,
     enumerate_w0_words,
     j_plus,
     parse_word,
@@ -122,6 +123,8 @@ def test_enumeration_counts(name, count):
     words = list(enumerate_w0_words(cd))
     assert len(words) == count
     assert len({w.letters for w in words}) == count
+    # the bare letters the command line keeps are the validated words' letters
+    assert list(enumerate_w0_letters(cd)) == [w.letters for w in words]
 
 
 def test_enumeration_is_lexicographic(a3):
@@ -138,3 +141,4 @@ def test_enumeration_limit(a3):
         for w in gen:
             got.append(w)
     assert len(got) == 5
+
