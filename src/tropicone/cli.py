@@ -141,11 +141,8 @@ def cmd_oracle(args) -> int:
     if args.all_words:
         # letters only, each validated when it is used: outside type A most words never are
         words = list(enumerate_w0_letters(cd, limit=args.word_limit))
-    elif args.word:
-        words = [parse_letters(args.word)]
     else:
-        print("error: oracle needs --word or --all-words", file=sys.stderr)
-        return 1
+        words = [parse_letters(args.word)]
 
     agreement = []
     census_failures = []
@@ -222,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="brute-force agreement and census sweeps")
     o.add_argument("--type", required=True, help="Cartan type, e.g. A3")
-    o.add_argument("--word", default=None, help="single word to sweep")
-    o.add_argument("--all-words", action="store_true", help="sweep every reduced word")
+    which = o.add_mutually_exclusive_group(required=True)
+    which.add_argument("--word", help="single word to sweep")
+    which.add_argument("--all-words", action="store_true", help="sweep every reduced word")
     o.add_argument("--word-limit", type=int, default=100000)
     o.add_argument("--census-bound", type=int, default=2, help="max letter-sum for the census")
     o.add_argument("--out", type=_out_arg, default=None)

@@ -1,25 +1,22 @@
 """Independent brute-force recomputations of the monomial sets.
 
-Two oracles, deliberately sharing nothing with the graph builder:
+Two oracles, sharing nothing with the graph builder beyond the DecoGraph
+type they read. Each is one matrix coefficient of the word's product of
+one-parameter factors, taken in its own module, and one engine computes both:
 
-* trail enumeration in a minuscule weight diagram, walking weight paths
-  gamma_0 -> gamma_N with steps of 0 or 1 times a simple root, which yields
-  both the exponent vectors c and the monomials d. The diagram depends on
-  the root system and i alone: it is the Weyl orbit of -Lambda_i, built once
-  per (root system, i) without the word, with a table of weight ids and of
-  the down step gamma -> gamma - alpha_j between them. Every path starts at
-  the diagram's one dominant weight -w0 Lambda_i. Per word, one backward
-  pass marks the weights from which -s_i Lambda_i is still reachable at each
-  position, and the walk steps only onto those, so it visits no dead state;
-* the relevant minor of the matrix product x_{-i_1}(t_1) ... x_{-i_N}(t_N)
-  in type A, exact as a Laurent polynomial and computed by propagation:
-  only the minors on its fixed rows are carried through the word, each
-  updated per letter by Cauchy-Binet. The same kind of backward pass, over
-  column sets, drops every minor that can no longer reach the target
-  columns, and t_l's exponent is appended at letter l, where t_l first
-  occurs. It also recovers the positive integer coefficients the graph
-  never sees. The factors are totally positive, so no term of any minor
-  cancels and a coefficient <= 0 is a hard error.
+* the i-trails, in the minuscule module V(-w0 Lambda_i): the states are the
+  weights of its diagram, and a path's exponent tuple is the trail's d-vector;
+* the relevant minor of x_{-i_1}(t_1) ... x_{-i_N}(t_N) in type A, in
+  wedge^i of the natural module: the states are the column sets of the
+  minors on its fixed rows. It also recovers the positive integer
+  coefficients the graph never sees; the factors are totally positive, so a
+  coefficient <= 0 is a hard error.
+
+A module is a table built once per (root system, i), without the word: per
+letter and state, the moves to other states, each weighted by a polynomial
+in that letter's t. Per word, the engine makes one backward pass that marks
+the states from which the target is still reachable, and one forward pass
+that carries a Laurent polynomial for the live states only.
 
 agreement_report compares both with a graph the caller built, so the
 command line builds each (word, i) graph once for the report and the cone.
@@ -30,7 +27,9 @@ dict from exponent tuple to its positive integer coefficient.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from operator import sub
+from typing import NamedTuple
 
 from .decograph import DecoGraph
 from .monomial import render
@@ -54,6 +53,79 @@ class MixedSigns(RuntimeError):
     """A minor coefficient <= 0: the factors are totally positive, so the sign convention is broken."""
 
 
+# ---------------------------------------------------------------- engine
+
+
+class _Module(NamedTuple):
+    """A module as the engine's table, numbered per (root system, i).
+
+    moves[j-1][s] lists the (s2, f) by which state s feeds s2 at letter j, f
+    a nonzero polynomial in that letter's t as {power: coefficient}. For the
+    backward pass, stays[j-1] masks the states that feed themselves and
+    lifts[j-1] holds the bits (1 << s2, 1 << s) of every other move.
+    """
+
+    moves: tuple
+    start: int
+    target: int
+    stays: tuple
+    lifts: tuple
+
+
+def _module(moves, start: int, target: int) -> _Module:
+    """The table of the given moves, the zero ones left out, with its backward-pass bits."""
+    moves = tuple(tuple(tuple((s2, f) for s2, f in state if f) for state in row) for row in moves)
+    stays = tuple(sum(1 << s for s, state in enumerate(row) if any(s2 == s for s2, _ in state)) for row in moves)
+    lifts = tuple(
+        tuple((1 << s2, 1 << s) for s, state in enumerate(row) for s2, _ in state if s2 != s) for row in moves
+    )
+    return _Module(moves, start, target, stays, lifts)
+
+
+def _live_states(module: _Module, w: ReducedWord) -> list[int]:
+    """live[k], a bit mask over states: those from which the target is still reachable after letter k.
+
+    One backward pass: live[N] holds the target alone, and s is live at
+    k - 1 when one of its moves at letter k lands in live[k].
+    """
+    live = [0] * w.N + [1 << module.target]
+    for k in range(w.N, 0, -1):
+        j0 = w.letters[k - 1] - 1
+        after = live[k]
+        mask = after & module.stays[j0]
+        for low, high in module.lifts[j0]:
+            if after & low:
+                mask |= high
+        live[k - 1] = mask
+    return live
+
+
+def _minor(module: _Module, w: ReducedWord) -> dict[tuple[int, ...], int]:
+    """The start-to-target coefficient of the word's product of factors: {exponent tuple: coefficient}.
+
+    One forward pass carries, per live state, the polynomial of the paths
+    from the start to it. At letter k a move (s2, f) adds it times f(t_k) to
+    s2's, appending t_k's power to each exponent tuple.
+    """
+    live = _live_states(module, w)
+    polys = {module.start: {(): 1}}
+    for k, letter in enumerate(w.letters, 1):
+        after = live[k]
+        row = module.moves[letter - 1]
+        new: dict[int, dict] = {}
+        for s, poly in polys.items():
+            for s2, f in row[s]:
+                if after >> s2 & 1:
+                    out = new.setdefault(s2, {})
+                    for power, cf in f.items():
+                        tail = (power,)
+                        for e, c in poly.items():
+                            e2 = e + tail
+                            out[e2] = out.get(e2, 0) + cf * c
+        polys = new
+    return polys.get(module.target, {})
+
+
 # ---------------------------------------------------------------- trails
 
 
@@ -63,7 +135,7 @@ def minuscule_weight_diagram(cd: CartanData, i: int) -> frozenset[tuple[int, ...
 
     The single Weyl orbit of -Lambda_i, cached per root system and index; its
     one dominant weight is -w0 Lambda_i. Every pairing with a coroot lands in
-    {-1, 0, 1}, which is asserted because the trail walk depends on it.
+    {-1, 0, 1}, which is asserted because the trail module depends on it.
     """
     if i not in minuscule_indices(cd):
         raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")
@@ -84,80 +156,33 @@ def minuscule_weight_diagram(cd: CartanData, i: int) -> frozenset[tuple[int, ...
 
 
 @lru_cache(maxsize=None)
-def _trail_table(cd: CartanData, i: int) -> tuple:
-    """The tables of the i-trail walk, per root system and index: (weights, down, lifts, start, target).
+def _trail_module(cd: CartanData, i: int) -> _Module:
+    """The minuscule module V(-w0 Lambda_i) as the engine's table, per root system and index.
 
-    Weights get ids in sorted order, and each is kept as its tuple of pairings
-    with h_1..h_n. down[j-1][g] is the id of weight g - alpha_j, or None when
-    that leaves the diagram; lifts[j-1] pairs, for every g with such a down
-    step, the bits (1 << down[j-1][g], 1 << g) that the backward pass reads.
-    start is the id of the dominant weight -w0 Lambda_i, target that of
-    -s_i Lambda_i.
+    States are the diagram's weights in sorted order. At letter j, c_k = 0
+    keeps gamma, with power <h_j, gamma>, and c_k = 1 steps to
+    gamma - alpha_j when that is a weight, with power <h_j, gamma - alpha_j>
+    + 1, so a path's exponent tuple is its d-vector. The start is the
+    dominant weight -w0 Lambda_i, the target -s_i Lambda_i.
     """
     weights = sorted(minuscule_weight_diagram(cd, i))
     ids = {mu: g for g, mu in enumerate(weights)}
-    down = tuple(
-        tuple(ids.get(tuple(map(sub, mu, simple_root_weight(cd, j)))) for mu in weights)
-        for j in range(1, cd.n + 1)
-    )
-    lifts = tuple(tuple((1 << h, 1 << g) for g, h in enumerate(row) if h is not None) for row in down)
+    moves = []
+    for j in range(1, cd.n + 1):
+        alpha = simple_root_weight(cd, j)
+        row = []
+        for g, mu in enumerate(weights):
+            nu = tuple(map(sub, mu, alpha))
+            row.append([(g, {mu[j - 1]: 1})] + ([(ids[nu], {nu[j - 1] + 1: 1})] if nu in ids else []))
+        moves.append(row)
     start = next(g for g, mu in enumerate(weights) if min(mu) >= 0)
     target = ids[tuple(-x for x in reflect(cd, i, fundamental_weight(cd.n, i)))]
-    return tuple(weights), down, lifts, start, target
-
-
-def _live_weights(table: tuple, w: ReducedWord) -> list[int]:
-    """live[k], a bit mask over weight ids: the gamma_k from which -s_i Lambda_i is still reachable.
-
-    One backward pass: live[N] holds the target alone, and gamma is live at
-    k - 1 when gamma (c_k = 0) or gamma - alpha_{i_k} (c_k = 1) is live at k.
-    """
-    _, _, lifts, _, target = table
-    live = [0] * w.N + [1 << target]
-    for k in range(w.N, 0, -1):
-        after = mask = live[k]
-        for low, high in lifts[w.letters[k - 1] - 1]:
-            if after & low:
-                mask |= high
-        live[k - 1] = mask
-    return live
-
-
-def _trails(cd: CartanData, w: ReducedWord, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (c-vector, d-vector) pairs of weight paths -w0 Lambda_i -> -s_i Lambda_i.
-
-    gamma_0 is the diagram's dominant weight, gamma_{k-1} = gamma_k + c_k
-    alpha_{i_k} with c_k in {0, 1} and every gamma_k inside the weight
-    diagram; d_k = <h_{i_k}, gamma_k> + c_k. The walk is depth first over
-    weight ids and steps only onto states that _live_weights marks, so every
-    state it visits lies on a trail; the trails come in lexicographic order
-    of c.
-    """
-    weights, down, _, start, _ = table = _trail_table(cd, i)
-    live = _live_weights(table, w)
-    letters, N = w.letters, w.N
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    # an explicit stack: a nested recursive function would be a reference
-    # cycle holding w; c = 1 is pushed first so that c = 0 is taken first
-    stack = [(0, start, (), ())] if live[0] >> start & 1 else []
-    while stack:
-        k, g, cs, ds = stack.pop()
-        if k == N:
-            out.append((cs, ds))
-            continue
-        j0 = letters[k] - 1
-        after = live[k + 1]
-        h = down[j0][g]
-        if h is not None and after >> h & 1:
-            stack.append((k + 1, h, cs + (1,), ds + (weights[h][j0] + 1,)))
-        if after >> g & 1:
-            stack.append((k + 1, g, cs + (0,), ds + (weights[g][j0],)))
-    return out
+    return _module(moves, start, target)
 
 
 def minuscule_trail_monomials(cd: CartanData, w: ReducedWord, i: int) -> set[tuple[int, ...]]:
     """The monomial set read off from the trails alone."""
-    return {ds for _, ds in _trails(cd, w, i)}
+    return set(_minor(_trail_module(cd, i), w))
 
 
 # ---------------------------------------------------------------- type A minors
@@ -180,104 +205,51 @@ def _block_det(block) -> dict[int, int]:
     return {s: v for s, v in out.items() if v}
 
 
-def _moves(block) -> tuple:
-    """Per state of a column set J at a letter, the (swap, f) by which D_J feeds D_K.
+@lru_cache(maxsize=None)
+def _column_module(n: int, i: int, block: tuple) -> _Module:
+    """wedge^i of the natural module of sl_{n+1} as the engine's table, per block content.
 
-    The state is 2 * (J holds q) + (J holds p) for the letter's adjacent
-    columns p, q; K is J, or J with p and q exchanged when swap is set, and
-    f is the block minor D_{J,K}(F), a polynomial in the letter's t. Holding
-    neither, J feeds itself unchanged; holding p alone, a to J and b to
-    J - p + q; holding q alone, d to J and c to J - q + p; holding both,
-    ad - bc to J. Moves whose f is 0 are left out.
+    block is _BLOCK's a, b, c, d as (power, coefficient) pairs, a cache key.
+    States are the column sets J of the minors D_J on the fixed rows, as bit
+    masks over the 0-based columns, in increasing order. Letter m's block
+    sits on the adjacent columns p = m-1, q = m, and Cauchy-Binet,
+    D_K(PF) = sum over J of D_J(P) D_{J,K}(F), gives J's moves: holding
+    neither, 1 to J; p alone, a to J and b to J - p + q; q alone, d to J and
+    c to J - q + p; both, ad - bc to J. Exchanging adjacent columns keeps the
+    others in place, so every cofactor sign is +. The start is the rows
+    {n+1-i..n}, the target the columns [0, i-2] u {i}.
     """
-    (a, b), (c, d) = block
-    moves = (((False, {0: 1}),), ((False, a), (True, b)), ((False, d), (True, c)), ((False, _block_det(block)),))
-    return tuple(tuple(move for move in state if move[1]) for state in moves)
-
-
-def _live_columns(moves: tuple, w: ReducedWord, cols: int) -> list[set[int]]:
-    """live[l]: the column sets K whose minor after letter l can still reach the columns cols.
-
-    One backward pass: live[N] is {cols}, and J is live at l - 1 when one of
-    its moves at letter l lands in live[l]. A move keeps J or exchanges its
-    columns p and q, so a live K is fed by itself through a stay move of
-    its own state, and by K with p, q exchanged through a swap move of that
-    set's state.
-    """
-    stays = tuple(any(not swap for swap, _ in state) for state in moves)
-    swaps = tuple(any(swap for swap, _ in state) for state in moves)
-    live = [set() for _ in range(w.N)] + [{cols}]
-    for l in range(w.N, 0, -1):
-        p = w.letters[l - 1] - 1
-        pq = 3 << p
-        before = live[l - 1]
-        for K in live[l]:
-            if stays[K >> p & 3]:
-                before.add(K)
-            if swaps[(K ^ pq) >> p & 3]:
-                before.add(K ^ pq)
-    return live
-
-
-def _accumulate(out: dict, f: dict[int, int], poly: dict, tail: tuple[int, ...]) -> None:
-    """out += f(t_l) * poly, in place: each exponent tuple of poly, padded by tail, gains t_l's power."""
-    for s, cf in f.items():
-        ext = tail + (s,)
-        for e, c in poly.items():
-            e2 = e + ext
-            out[e2] = out.get(e2, 0) + cf * c
+    a, b, c, d = map(dict, block)
+    det = _block_det(((a, b), (c, d)))
+    # per state 2 * (J holds q) + (J holds p): the (exchange p and q, f) of each move
+    feeds = (((False, {0: 1}),), ((False, a), (True, b)), ((False, d), (True, c)), ((False, det),))
+    sets = sorted(sum(1 << col for col in cols) for cols in combinations(range(n + 1), i))
+    ids = {J: s for s, J in enumerate(sets)}
+    moves = [
+        [[(ids[J ^ (3 << p) if swap else J], f) for swap, f in feeds[J >> p & 3]] for J in sets]
+        for p in range(n)
+    ]
+    rows = sum(1 << r for r in range(n + 1 - i, n + 1))
+    cols = sum(1 << col for col in range(i - 1)) | 1 << i
+    return _module(moves, ids[rows], ids[cols])
 
 
 def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> dict[tuple[int, ...], int]:
-    """The minor on rows {n+2-i..n+1}, columns [1,i-1] u {i+1}, exactly.
+    """The minor on rows {n+2-i..n+1}, columns [1,i-1] u {i+1}, exactly: {exponent tuple: coefficient}.
 
-    The matrix is the product over the word of the one-parameter factors,
-    each the identity except for the 2x2 block [[t^-1, 0], [1, t]] at the
-    letter's position. Only the minors D_K on the fixed rows are carried, one
-    per column set K, starting from the identity. Right multiplication by a
-    factor F on the adjacent columns p, q updates them by Cauchy-Binet,
-    D_K(PF) = sum over J of D_J(P) * D_{J,K}(F), through the moves of
-    _moves. p and q are adjacent, so exchanging one for the other keeps every
-    other column in place and the 1x1 cofactor sign is +. Only the minors
-    that _live_columns marks are kept, since the others never reach the
-    target columns. t_l first occurs at letter l, so an exponent tuple covers
-    t_1 up to the last letter that touched its minor, and is padded with zeros
-    when a later letter extends it. The result is {exponent tuple: coefficient}.
-
-    Every minor of the block is 0, 1, t^-1 or t, and its determinant is 1, so
-    by Cauchy-Binet every coefficient is positive and no term ever cancels
-    (Fomin-Zelevinsky, Double Bruhat cells and total positivity, 1999). A
-    coefficient <= 0 therefore raises MixedSigns: it can only come from a
-    broken sign convention.
+    The matrix is the product over the word of the factors x_{-m}(t), each
+    the identity except for _BLOCK on columns (m-1, m). Every minor of the
+    block is 0, 1, t^-1 or t and its determinant is 1, so by Cauchy-Binet no
+    term ever cancels (Fomin-Zelevinsky, Double Bruhat cells and total
+    positivity, 1999). A coefficient <= 0 therefore raises MixedSigns: only a
+    broken sign convention gives one.
     """
     if cd.ctype.family != "A":
         raise NotTypeA(f"minor oracle needs type A, got {cd.ctype}")
-    n, N = cd.n, w.N
-    if not 1 <= i <= n:
-        raise RootSystemError(f"index {i} out of [1, {n}]")
-    moves = _moves(_BLOCK)
-    # column sets as bit masks over the 0-based columns 0..n
-    rows = sum(1 << r for r in range(n + 1 - i, n + 1))
-    cols = sum(1 << col for col in range(i - 1)) | 1 << i
-    live = _live_columns(moves, w, cols)
-    minors = {rows: {(): 1}} if rows in live[0] else {}
-    for l in range(1, N + 1):
-        p = w.letters[l - 1] - 1
-        pq = 3 << p
-        after = live[l]
-        new: dict[int, dict] = {}
-        for J, poly in minors.items():
-            state = J >> p & 3
-            if not state:
-                new[J] = poly  # t_l does not occur, and no other J feeds this K = J
-                continue
-            tail = (0,) * (l - 1 - len(next(iter(poly))))
-            for swap, f in moves[state]:
-                K = J ^ pq if swap else J
-                if K in after:
-                    _accumulate(new.setdefault(K, {}), f, poly, tail)
-        minors = new
-    minor = {e + (0,) * (N - len(e)): v for e, v in minors.get(cols, {}).items()}
+    if not 1 <= i <= cd.n:
+        raise RootSystemError(f"index {i} out of [1, {cd.n}]")
+    block = tuple([tuple(f.items()) for row in _BLOCK for f in row])
+    minor = _minor(_column_module(cd.n, i, block), w)
     if any(v <= 0 for v in minor.values()):
         raise MixedSigns(f"minor for ({cd.ctype}, i={i}, word {w}) has a coefficient <= 0")
     return minor

@@ -20,7 +20,7 @@ from operator import sub
 from tropicone import oracle
 from tropicone.decograph import b_from_d, initial_vertex
 from tropicone.monomial import a_monomial
-from tropicone.oracle import _trails, minuscule_weight_diagram
+from tropicone.oracle import minuscule_weight_diagram
 from tropicone.rootsystem import fundamental_weight, reflect, reflect_root, simple_root, simple_root_weight
 from tropicone.wordtools import validate_word
 
@@ -134,7 +134,7 @@ def tuple_keyed_graph(cd, w, i):
 
 def crosscheck_b_equals_c(cd, w, i):
     """For every trail, the b recursion on its d-vector must return its c-vector."""
-    trails = _trails(cd, w, i)
+    trails = unpruned_trails(cd, w, i)
     mismatches = []
     for cs, ds in trails:
         b = b_from_d(cd, w, i, ds)

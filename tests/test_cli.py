@@ -112,6 +112,14 @@ def test_bad_input_exit_codes(capsys):
     assert rc == 1 and out == "" and "the following arguments are required: --word" in err
     rc, out, err = run(capsys, "graph", *C3_ARGS, "--i", "x")
     assert rc == 1 and out == "" and "invalid int value: 'x'" in err
+    # oracle takes exactly one of --word and --all-words
+    rc, out, err = run(capsys, "oracle", "--type", "A3", "--word", "1,2,1,3,2,1", "--all-words")
+    assert rc == 1 and out == "" and "argument --all-words: not allowed with argument --word" in err
+    rc, out, err = run(capsys, "oracle", "--type", "A3")
+    assert rc == 1 and out == "" and "one of the arguments --word --all-words is required" in err
+    # an empty word is a word of the wrong length, as in every other command
+    assert run(capsys, "oracle", "--type", "A3", "--word", "") == (1, "", "error: expected 6 letters for A3, got 0\n")
+    assert run(capsys, "cone", "--type", "A3", "--word", "") == (1, "", "error: expected 6 letters for A3, got 0\n")
 
 
 def test_vertex_cap_exits_1(capsys, monkeypatch):

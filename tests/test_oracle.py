@@ -1,7 +1,9 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -234,12 +236,15 @@ def words_of(name, seeded):
 
 
 def trail_mismatches(cd, words):
-    """The (word, i) at the minuscule indices where the live trail walk differs from the unpruned one."""
+    """The (word, i) at the minuscule indices where the engine's trail monomials differ from the unpruned walk's.
+
+    Multiplicities are compared too: each d-vector must come from exactly one trail.
+    """
     return [
         (str(w), i)
         for w in words
         for i in sorted(minuscule_indices(cd))
-        if oracle._trails(cd, w, i) != unpruned_trails(cd, w, i)
+        if oracle._minor(oracle._trail_module(cd, i), w) != Counter(d for _, d in unpruned_trails(cd, w, i))
     ]
 
 
@@ -267,27 +272,75 @@ def test_pruned_minor_matches_the_unpruned_propagation(name, seeded):
 
 
 @pytest.mark.parametrize("drop", ["lowest", "highest"])
-@pytest.mark.parametrize(
-    "live_pass, mismatches",
-    [("_live_weights", trail_mismatches), ("_live_columns", minor_mismatches)],
-    ids=["weights", "columns"],
-)
-def test_a_live_pass_missing_one_state_is_caught(monkeypatch, live_pass, mismatches, drop):
-    # the pass forgets one live weight, or column set, halfway through the word
-    real = getattr(oracle, live_pass)
+@pytest.mark.parametrize("mismatches", [trail_mismatches, minor_mismatches], ids=["weights", "columns"])
+def test_a_live_pass_missing_one_state_is_caught(monkeypatch, mismatches, drop):
+    # the one live pass forgets one live weight, or column set, halfway through the word
+    real = oracle._live_states
 
-    def forgetful(*args):
-        live = real(*args)
+    def forgetful(module, w):
+        live = real(module, w)
         states = live[len(live) // 2]
-        if isinstance(states, set):
-            states.remove(min(states) if drop == "lowest" else max(states))
-        else:
-            # a bit mask over weight ids
-            live[len(live) // 2] &= ~(states & -states if drop == "lowest" else 1 << states.bit_length() - 1)
+        live[len(live) // 2] &= ~(states & -states if drop == "lowest" else 1 << states.bit_length() - 1)
         return live
 
-    monkeypatch.setattr(oracle, live_pass, forgetful)
+    monkeypatch.setattr(oracle, "_live_states", forgetful)
     assert mismatches(*words_of("A3", 0))
+
+
+# A hand-built module that neither the trails nor the type A minors produce:
+# two paths from state 0 reach state 1 with the same monomial, state 1 moves
+# by a two-term polynomial at letter 1, and state 2 is dead (it never
+# reaches the target 1).
+TOY_MOVES = (
+    (
+        [(0, {1: 1}), (1, {1: 1}), (2, {0: 1})],
+        [(1, {0: 1, 2: 3})],
+        [(2, {1: 1})],
+    ),
+    (
+        [(1, {0: 1})],
+        [(1, {0: 1}), (0, {-1: 1})],
+        [(2, {0: 2})],
+    ),
+)
+
+
+def toy_minor_by_paths(letters):
+    """Sum over every path of moves from state 0 to state 1, dead or not, of the product of its f's."""
+    out = Counter()
+    paths = [(0, (), 1)]
+    for letter in letters:
+        paths = [
+            (s2, e + (power,), c * cf)
+            for s, e, c in paths
+            for s2, f in TOY_MOVES[letter - 1][s]
+            for power, cf in f.items()
+        ]
+    for s, e, c in paths:
+        if s == 1:
+            out[e] += c
+    return dict(out)
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [(1, 2), (1, 2, 1), (2, 1, 2, 1), (1, 1, 2, 2, 1), (1, 2, 1, 2, 1, 2)],
+    ids=lambda t: ",".join(map(str, t)),
+)
+def test_engine_matches_a_sum_over_all_paths(letters):
+    module = oracle._module(TOY_MOVES, 0, 1)
+    w = SimpleNamespace(letters=letters, N=len(letters))
+    want = toy_minor_by_paths(letters)
+    assert oracle._minor(module, w) == want
+    assert max(want.values()) >= 2
+    # the dead state is never live, though paths from the start reach it
+    assert all(not live >> 2 & 1 for live in oracle._live_states(module, w))
+
+
+def test_two_paths_to_one_monomial_add_up():
+    # 0 -> 0 -> 1 and 0 -> 1 -> 1 both give t_1, so its coefficient is 2
+    w = SimpleNamespace(letters=(1, 2), N=2)
+    assert oracle._minor(oracle._module(TOY_MOVES, 0, 1), w) == {(1, 0): 2}
 
 
 def test_a2_agreement_all_words():
