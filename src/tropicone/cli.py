@@ -5,15 +5,16 @@ input (a usage error and an index outside [1, n] included), a failed check,
 the vertex cap of a graph build, running out of memory or an output path
 that cannot be written, 2 unsupported index without --force (oracle forces
 the cones it censuses, so it never exits 2), 3 internal assertion failure.
-Identical invocations produce byte-identical output; files are written
-atomically next to their final path.
+Identical invocations produce byte-identical output. JSON output is
+json.dumps(payload, indent=2) plus a newline, byte for byte, spelled out by
+jsontext.emit; --out writes the same bytes as stdout, atomically next to
+their final path.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from collections import deque
 
 from . import decograph, oracle, stringcone
 from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_graph, to_dot, to_json
+from .jsontext import emit
 from .oracle import MixedSigns
 from .rootsystem import CartanType, cartan_matrix
 from .stringcone import cone_from_graphs, dual_kostant_count, string_cone, weight_census, weights_up_to
@@ -50,10 +52,14 @@ def _write_output(text: str, path: str | None) -> None:
     path = _out_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    data = memoryview(text.encode())
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tropicone-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,10 +70,6 @@ def _write_output(text: str, path: str | None) -> None:
 def _load(type_str: str, word_str: str):
     cd = cartan_matrix(CartanType.parse(type_str))
     return cd, parse_word(cd, word_str)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def cmd_graph(args) -> int:
@@ -87,7 +89,7 @@ def cmd_graph(args) -> int:
                 for i in range(1, cd.n + 1)
             ],
         }
-        text = _json_text(bundle)
+        text = emit(bundle)
     _write_output(text, args.out)
     return 0
 
@@ -112,7 +114,7 @@ def cmd_check(args) -> int:
         "graphs": reports,
         "status": status,
     }
-    _write_output(_json_text(payload), args.out)
+    _write_output(emit(payload), args.out)
     return 0 if status == "pass" else 1
 
 
@@ -182,7 +184,7 @@ def cmd_oracle(args) -> int:
         "census_failures": census_failures,
         "status": status,
     }
-    _write_output(_json_text(payload), args.out)
+    _write_output(emit(payload), args.out)
     return 0 if status == "pass" else 1
 
 

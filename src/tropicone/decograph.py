@@ -42,7 +42,6 @@ which is what makes the worklist terminate and the graph acyclic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -50,6 +49,7 @@ from itertools import compress
 from operator import lshift, sub
 from typing import NamedTuple
 
+from .jsontext import emit
 from .monomial import a_monomial, lowest_term, render, unit
 from .rootsystem import (
     CartanData,
@@ -483,4 +483,4 @@ def to_json_dict(g: DecoGraph) -> dict:
 
 
 def to_json(g: DecoGraph) -> str:
-    return json.dumps(to_json_dict(g), indent=2) + "\n"
+    return emit(to_json_dict(g))

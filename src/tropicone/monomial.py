@@ -21,18 +21,18 @@ def unit(N: int, l: int) -> tuple[int, ...]:
 
 def render(d: tuple[int, ...]) -> str:
     """Readable form, e.g. "t_1*t_5^2/t_6" or "t_7/(t_8*t_9)" or "1"."""
-
-    def factor(l: int, e: int) -> str:
-        return f"t_{l}" if e == 1 else f"t_{l}^{e}"
-
-    num = [(l, e) for l, e in enumerate(d, start=1) if e > 0]
-    den = [(l, -e) for l, e in enumerate(d, start=1) if e < 0]
-    num_s = "*".join(factor(l, e) for l, e in num) if num else "1"
+    num, den = [], []
+    for l, e in enumerate(d, start=1):
+        if e > 0:
+            num.append(f"t_{l}" if e == 1 else f"t_{l}^{e}")
+        elif e < 0:
+            den.append(f"t_{l}" if e == -1 else f"t_{l}^{-e}")
+    num_s = "*".join(num) if num else "1"
     if not den:
         return num_s
     if len(den) == 1:
-        return num_s + "/" + factor(*den[0])
-    return num_s + "/(" + "*".join(factor(l, e) for l, e in den) + ")"
+        return num_s + "/" + den[0]
+    return num_s + "/(" + "*".join(den) + ")"
 
 
 def a_monomial(cd: CartanData, w: ReducedWord, j: int) -> tuple[int, ...]:

@@ -18,7 +18,6 @@ is 0 has the zero vector as its one candidate, so the merge skips it.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,6 +28,7 @@ from operator import sub
 import numpy as np
 
 from .decograph import DecoGraph, build_graph
+from .jsontext import emit
 from .rootsystem import CartanData, dual_cartan, positive_roots
 from .wordtools import ReducedWord
 
@@ -297,7 +297,7 @@ def render(cone: ConeSystem, fmt: str = "text") -> str:
         lines = [f"{text} &\\geq 0 \\\\" for text in _row_texts(cone)]
         return "\\begin{align*}\n" + "\n".join(lines) + "\n\\end{align*}\n"
     if fmt == "json":
-        return json.dumps(to_json_dict(cone), indent=2) + "\n"
+        return emit(to_json_dict(cone))
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -8,7 +8,8 @@ every position with its own chain test, the graph by a
 BFS keyed by the d tuples themselves, b at the ends of the i-trails by
 the recursion, the i-trails by a walk over every state of the weight
 diagram, the type A minor by carrying every minor on its rows over full-length
-exponent tuples, and the census by testing every row at every candidate point.
+exponent tuples, the census by testing every row at every candidate point,
+and the text of a monomial from its numerator and denominator pair lists.
 """
 
 from __future__ import annotations
@@ -236,3 +237,19 @@ def brute_force_census(cone, mvec):
                 z[l] = x
         count += all(sum(c * x for c, x in zip(row, z)) >= 0 for _, row in cone.rows)
     return count
+
+
+def render_reference(d):
+    """The text of a monomial, one pass per sign over (position, exponent) pairs."""
+
+    def factor(l, e):
+        return f"t_{l}" if e == 1 else f"t_{l}^{e}"
+
+    num = [(l, e) for l, e in enumerate(d, start=1) if e > 0]
+    den = [(l, -e) for l, e in enumerate(d, start=1) if e < 0]
+    num_s = "*".join(factor(l, e) for l, e in num) if num else "1"
+    if not den:
+        return num_s
+    if len(den) == 1:
+        return num_s + "/" + factor(*den[0])
+    return num_s + "/(" + "*".join(factor(l, e) for l, e in den) + ")"

@@ -1,4 +1,5 @@
 import ast
+import errno
 import functools
 import hashlib
 import json
@@ -50,6 +51,8 @@ GOLDEN = [
         "6194d0c2f78f30c13b6e51e2b45e9a879101bb406517fc2ba26d706807e96df7",
     ),
 ]
+# the command, the type and the flags after the word
+GOLDEN_IDS = [" ".join(a[:1] + a[2:3] + a[5:]) for a, _ in GOLDEN]
 
 
 def run(capsys, *argv):
@@ -289,12 +292,35 @@ def test_deterministic_output(capsys):
     assert one == two
 
 
-# ids: the command, the type and the flags after the word
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a[:1] + a[2:3] + a[5:]) for a, _ in GOLDEN])
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
 def test_output_matches_golden_digest(capsys, argv, digest):
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
+def test_out_writes_the_bytes_stdout_gets(capsys, tmp_path, argv, digest):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_failed_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "cone.txt"
+    target.write_text("old content\n")
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "write", full)
+    rc, out, err = run(capsys, "cone", *C3_ARGS, "--out", str(target))
+    assert (rc, out, err) == (1, "", f"error: cannot write {target}: No space left on device\n")
+    assert target.read_text() == "old content\n"
+    assert not list(tmp_path.rglob(".tropicone-*"))
 
 
 def test_out_file(capsys, tmp_path):

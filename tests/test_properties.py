@@ -7,7 +7,7 @@ from operator import sub
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from tropicone.rootsystem import (
     CartanType,
@@ -18,11 +18,11 @@ from tropicone.rootsystem import (
     reflect_root,
 )
 from tropicone.wordtools import enumerate_w0_words, j_plus
-from tropicone.monomial import a_monomial
+from tropicone.monomial import a_monomial, render
 from tropicone.decograph import b_from_d, build_graph, firing_labels_minuscule, verify_graph
 from tropicone.stringcone import ConeSystem, dual_kostant_count, string_cone, weight_census, weights_up_to
 
-from references import brute_force_census, out_labels, reflection_beta_sequence
+from references import brute_force_census, out_labels, reflection_beta_sequence, render_reference
 
 CDS = [cartan_matrix(CartanType.parse(name)) for name in ("A3", "B3", "C3", "D4", "G2", "F4")]
 WORD_POOL = [
@@ -134,6 +134,17 @@ def test_jplus_table_matches_scan(pair):
     for j in range(1, w.N + 1):
         later = [l for l in range(j + 1, w.N + 1) if w.letter(l) == w.letter(j)]
         assert w.jplus[j - 1] == (later[0] if later else w.N + 1)
+
+
+@example(())
+@example((0, 0, 0))
+@example((0, 1, -1))
+@example((2, 0, -3))
+@example((0, 0, -1, -2))
+@example((1, 2, 5, -1, 0, -4))
+@given(st.lists(st.integers(-5, 5), max_size=12).map(tuple))
+def test_render_matches_reference(d):
+    assert render(d) == render_reference(d)
 
 
 @st.composite
