@@ -21,7 +21,7 @@ import tempfile
 from collections import deque
 
 from . import decograph, oracle, stringcone
-from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_graph, to_dot, to_json
+from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_graph, to_dot, to_json_dict
 from .jsontext import emit
 from .oracle import MixedSigns
 from .rootsystem import CartanType, cartan_matrix
@@ -76,7 +76,7 @@ def cmd_graph(args) -> int:
     cd, w = _load(args.type, args.word)
     if args.i is not None:
         g = build_graph(cd, w, args.i, force=args.force)
-        text = to_dot(g) if args.format == "dot" else to_json(g)
+        text = to_dot(g) if args.format == "dot" else emit(to_json_dict(g))
     else:
         if args.format == "dot":
             print("error: --i is required with dot output", file=sys.stderr)
@@ -85,7 +85,7 @@ def cmd_graph(args) -> int:
             "type": str(cd.ctype),
             "word": list(w.letters),
             "graphs": [
-                decograph.to_json_dict(build_graph(cd, w, i, force=args.force))
+                to_json_dict(build_graph(cd, w, i, force=args.force))
                 for i in range(1, cd.n + 1)
             ],
         }

@@ -49,7 +49,6 @@ from itertools import compress
 from operator import lshift, sub
 from typing import NamedTuple
 
-from .jsontext import emit
 from .monomial import a_monomial, lowest_term, render, unit
 from .rootsystem import (
     CartanData,
@@ -480,7 +479,3 @@ def to_json_dict(g: DecoGraph) -> dict:
         "sinks": [list(d) for d in g.sinks()],
         "violations": [],
     }
-
-
-def to_json(g: DecoGraph) -> str:
-    return emit(to_json_dict(g))

@@ -129,13 +129,12 @@ def _minor(module: _Module, w: ReducedWord) -> dict[tuple[int, ...], int]:
 # ---------------------------------------------------------------- trails
 
 
-@lru_cache(maxsize=None)
 def minuscule_weight_diagram(cd: CartanData, i: int) -> frozenset[tuple[int, ...]]:
     """The weight set of the minuscule representation with highest weight -w0 Lambda_i.
 
-    The single Weyl orbit of -Lambda_i, cached per root system and index; its
-    one dominant weight is -w0 Lambda_i. Every pairing with a coroot lands in
-    {-1, 0, 1}, which is asserted because the trail module depends on it.
+    The single Weyl orbit of -Lambda_i; its one dominant weight is
+    -w0 Lambda_i. Every pairing with a coroot lands in {-1, 0, 1}, which is
+    asserted because _trail_module, cached per (root system, i), needs it.
     """
     if i not in minuscule_indices(cd):
         raise NotMinuscule(f"index {i} of {cd.ctype} is not minuscule")

@@ -132,24 +132,17 @@ def _compositions(total: int, size: int) -> np.ndarray:
 def weights_up_to(n: int, bound: int):
     """All nonnegative integer vectors of length n with sum <= bound, in lexicographic order.
 
-    The next vector raises the last entry while the sum allows; otherwise the
-    last nonzero entry drops to 0 and the entry before it rises by 1.
+    Each first entry in turn, then every tail within the bound it leaves; for
+    n = 0 that is the empty vector alone, and a negative bound gives nothing.
     """
     if bound < 0:
         return
-    m = [0] * n
-    while True:
-        yield tuple(m)
-        if n and sum(m) < bound:
-            m[-1] += 1
-            continue
-        r = n - 1
-        while r > 0 and not m[r]:
-            r -= 1
-        if r <= 0:
-            return
-        m[r] = 0
-        m[r - 1] += 1
+    if not n:
+        yield ()
+        return
+    for first in range(bound + 1):
+        for tail in weights_up_to(n - 1, bound - first):
+            yield (first, *tail)
 
 
 def _class_blocks(cone: ConeSystem) -> list[np.ndarray]:

@@ -138,38 +138,37 @@ def j_plus(w: ReducedWord, j: int) -> int:
     return w.jplus[j - 1]
 
 
+def _extensions(reflections, N: int, word: list[int], perm: list[int]):
+    """The reduced words of w0 that extend the prefix word, in lexicographic order.
+
+    perm[r] is the index of w(roots[r]) for the prefix w, so w s_j is perm
+    read through s_j's reflection row. word grows and shrinks in place.
+    """
+    if len(word) == N:
+        yield tuple(word)
+        return
+    for j0, step in enumerate(reflections):
+        # w s_j stays reduced exactly when w(alpha_j) is positive, that is below
+        # index N; alpha_{j0+1} is root j0
+        if perm[j0] < N:
+            word.append(j0 + 1)
+            yield from _extensions(reflections, N, word, [perm[r] for r in step])
+            word.pop()
+
+
 def enumerate_w0_letters(cd: CartanData, limit: int = 100000):
     """Yield the letters of every reduced word of w0 in lexicographic order.
 
-    Depth-first search over prefixes; a letter j may extend a prefix w exactly
-    when w(alpha_j) is still positive, so every word of length |Phi+| the
-    search reaches is reduced and longest, and is yielded unvalidated. The
-    prefix w is carried as the permutation of the root table it induces,
-    perm[r] = the index of w(roots[r]), so w s_j is perm read through s_j's
-    reflection row. Raises LimitExceeded on the word after the cap.
+    The search (_extensions) only appends a letter that keeps its prefix
+    reduced, so its words are yielded unvalidated. Raises LimitExceeded on
+    the word after the first limit.
     """
     table = root_table(cd)
-    N, reflections = table.positive, table.reflections
-    word: list[int] = []
-    emitted = 0
-
-    def walk(perm: list[int]):
-        nonlocal emitted
-        if len(word) == N:
-            if emitted >= limit:
-                raise LimitExceeded(f"more than {limit} reduced words")
-            emitted += 1
-            yield tuple(word)
-            return
-        for j0, step in enumerate(reflections):
-            # alpha_{j0+1} is root j0, and w(alpha_{j0+1}) is positive below index N
-            if perm[j0] >= N:
-                continue
-            word.append(j0 + 1)
-            yield from walk([perm[r] for r in step])
-            word.pop()
-
-    yield from walk(list(range(len(table.roots))))
+    words = _extensions(table.reflections, table.positive, [], list(range(len(table.roots))))
+    for emitted, letters in enumerate(words):
+        if emitted >= limit:
+            raise LimitExceeded(f"more than {limit} reduced words")
+        yield letters
 
 
 def enumerate_w0_words(cd: CartanData, limit: int = 100000):

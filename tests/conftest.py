@@ -1,9 +1,25 @@
+import gc
+
 import pytest
 
 from tropicone.rootsystem import CartanType, cartan_matrix
 from tropicone.wordtools import validate_word
 
 import fixture_data as fx
+
+
+@pytest.fixture
+def gc_disabled():
+    """The cyclic collector off for one test, from a collected heap.
+
+    A later gc.collect() then counts what reference counting left behind.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    yield
+    if was_enabled:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

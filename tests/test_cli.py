@@ -1,6 +1,7 @@
 import ast
 import errno
 import functools
+import gc
 import hashlib
 import json
 import shlex
@@ -53,6 +54,7 @@ GOLDEN = [
 ]
 # the command, the type and the flags after the word
 GOLDEN_IDS = [" ".join(a[:1] + a[2:3] + a[5:]) for a, _ in GOLDEN]
+WORD_LIMIT_ARGS = ["oracle", "--type", "A3", "--all-words", "--word-limit", "5"]
 
 
 def run(capsys, *argv):
@@ -110,6 +112,8 @@ def test_bad_input_exit_codes(capsys):
     assert (rc, out, err) == (1, "", "error: --census-bound must be nonnegative\n")
     rc, out, err = run(capsys, "oracle", "--type", "A3", "--all-words", "--word-limit", "0")
     assert (rc, out, err) == (1, "", "error: --word-limit must be positive\n")
+    # more words than the limit is bad input too, and nothing is printed
+    assert run(capsys, *WORD_LIMIT_ARGS) == (1, "", "error: more than 5 reduced words\n")
     # argparse usage errors exit 1 too: 2 means an unproven index
     rc, out, err = run(capsys, "cone", "--type", "C3")
     assert rc == 1 and out == "" and "the following arguments are required: --word" in err
@@ -284,6 +288,17 @@ def test_oracle_needs_word_flag(capsys):
     rc, _, err = run(capsys, "oracle", "--type", "A2")
     assert rc == 1
     assert "word" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a, _ in GOLDEN] + [WORD_LIMIT_ARGS], ids=GOLDEN_IDS + [" ".join(WORD_LIMIT_ARGS)]
+)
+def test_commands_leave_no_cycle(capsys, gc_disabled, argv):
+    main(argv)  # fills the per-root-system caches, which a second run only reads
+    capsys.readouterr()
+    gc.collect()
+    main(argv)
+    assert gc.collect() == 0
 
 
 def test_deterministic_output(capsys):

@@ -6,6 +6,7 @@ from operator import sub
 import pytest
 
 from tropicone import decograph
+from tropicone.jsontext import emit
 from tropicone.monomial import a_monomial, unit
 from tropicone.rootsystem import (
     CartanType,
@@ -30,7 +31,6 @@ from tropicone.decograph import (
     initial_vertex,
     supported,
     to_dot,
-    to_json,
     to_json_dict,
     verify_graph,
 )
@@ -483,4 +483,4 @@ def test_to_json(c3, c3_word):
     assert doc["meta"]["type"] == "C3" and doc["meta"]["i"] == 2
     assert len(doc["vertices"]) == 12 and len(doc["edges"]) == 14
     assert doc["source"] == [1, 0, 0, 0, 0, 0, 0, 0, 0]
-    assert json.loads(to_json(g)) == doc
+    assert json.loads(emit(to_json_dict(g))) == doc

@@ -1,4 +1,3 @@
-import gc
 import random
 import weakref
 from collections import Counter
@@ -203,19 +202,13 @@ def test_trails_match_graph_d4(d4, d4_word):
 
 
 @pytest.mark.parametrize("consume", [minuscule_trail_monomials, build_graph], ids=["trails", "graph"])
-def test_word_freed_without_cyclic_gc(d4, consume):
+def test_word_freed_without_cyclic_gc(d4, consume, gc_disabled):
     # reference counting alone must free the word and its cache: no call leaves a cycle through it
     w = validate_word(d4, fx.D4_WORD)
     ref = weakref.ref(w)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        assert consume(d4, w, 1)
-        del w
-        assert ref() is None
-    finally:
-        if was_enabled:
-            gc.enable()
+    assert consume(d4, w, 1)
+    del w
+    assert ref() is None
 
 
 def test_crosscheck_b_equals_c(c3, c3_word, d4, d4_word):
@@ -368,3 +361,25 @@ def test_agreement_report_shape(a3):
     assert rep["input"] == {"type": "A3", "word": [1, 2, 1, 3, 2, 1], "i": 2}
     for key in ("status", "graph_count", "trail_count", "minor_count", "notes"):
         assert key in rep
+
+
+def test_no_oracle_applies_to_a_non_minuscule_index_outside_type_a(c3, c3_word):
+    with pytest.raises(NotMinuscule, match=r"no oracle applies to \(C3, i=2\)"):
+        agreement_report(build_graph(c3, c3_word, 2))
+
+
+def test_trail_only_report_outside_type_a(c3, c3_word):
+    rep = agreement_report(build_graph(c3, c3_word, 1))
+    assert rep["status"] == "pass" and rep["notes"] == []
+    assert rep["graph_count"] == rep["trail_count"] == 1
+    assert rep["minor_count"] is None and rep["coefficient_table"] is None
+
+
+def test_oracles_that_disagree_fail_the_report(a3, monkeypatch):
+    trails = oracle.minuscule_trail_monomials
+    # the trail oracle loses its lowest monomial, the minor oracle keeps it
+    monkeypatch.setattr(oracle, "minuscule_trail_monomials", lambda *a: set(sorted(trails(*a))[1:]))
+    rep = agreement_report(build_graph(a3, validate_word(a3, (1, 2, 1, 3, 2, 1)), 2))
+    assert rep["status"] == "fail"
+    assert rep["notes"] == ["trail and minor oracles disagree with each other"]
+    assert rep["trail_count"] == rep["minor_count"] - 1

@@ -29,6 +29,13 @@ def test_parse_rejects(bad):
         CartanType.parse(bad)
 
 
+@pytest.mark.parametrize("family, rank", [("X", 3), ("A", 0), ("E", 9), ("G", 3)])
+def test_constructor_rejects(family, rank):
+    # parse refuses these before the constructor sees them
+    with pytest.raises(RootSystemError):
+        CartanType(family, rank)
+
+
 def test_cartan_matrix_c3(c3):
     assert c3.rows == ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
     assert c3.a(2, 3) == -2

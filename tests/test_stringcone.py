@@ -11,7 +11,7 @@ from tropicone import stringcone
 from tropicone.decograph import build_graph
 from tropicone.monomial import unit
 from tropicone.rootsystem import CartanType, cartan_matrix, dual_cartan, positive_roots, simple_root
-from tropicone.wordtools import enumerate_w0_words, validate_word
+from tropicone.wordtools import LimitExceeded, enumerate_w0_letters, enumerate_w0_words, validate_word
 from tropicone.stringcone import (
     CensusUncertified,
     ConeSystem,
@@ -303,18 +303,32 @@ def test_weights_up_to_order():
     assert list(weights_up_to(3, 0)) == [(0, 0, 0)]
 
 
-def test_weights_up_to_leaves_no_cycle():
+@pytest.mark.parametrize("n", range(6))
+def test_weights_up_to_matches_brute_force(n):
+    for bound in range(-1, 6):
+        want = [m for m in product(range(bound + 1), repeat=n) if sum(m) <= bound]
+        assert list(weights_up_to(n, bound)) == want
+
+
+def test_weights_up_to_leaves_no_cycle(gc_disabled):
     # reference counting alone frees a sweep: the cyclic collector finds nothing after it
-    was_enabled = gc.isenabled()
-    gc.disable()
+    sweep = list(weights_up_to(4, 4))
+    assert len(sweep) == 70 and sweep == sorted(set(sweep))
+    assert gc.collect() == 0
+
+
+def test_enumerate_w0_letters_leaves_no_cycle(gc_disabled):
+    a4 = cartan_matrix(CartanType.parse("A4"))
+    assert len(list(enumerate_w0_letters(a4))) == 768
+    assert gc.collect() == 0
+    got = []
     try:
-        gc.collect()
-        sweep = list(weights_up_to(4, 4))
-        assert len(sweep) == 70 and sweep == sorted(set(sweep))
-        assert gc.collect() == 0
-    finally:
-        if was_enabled:
-            gc.enable()
+        for letters in enumerate_w0_letters(a4, limit=100):
+            got.append(letters)
+    except LimitExceeded as e:
+        message = str(e)
+    assert len(got) == 100 and message == "more than 100 reduced words"
+    assert gc.collect() == 0
 
 
 def test_dual_kostant_small_values(c3):

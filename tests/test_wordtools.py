@@ -141,4 +141,11 @@ def test_enumeration_limit(a3):
         for w in gen:
             got.append(w)
     assert len(got) == 5
-
+    # a cap equal to the count yields every word; one below raises on the last
+    every = list(enumerate_w0_letters(a3, limit=16))
+    assert len(every) == 16
+    got = []
+    with pytest.raises(LimitExceeded, match="more than 15 reduced words"):
+        for letters in enumerate_w0_letters(a3, limit=15):
+            got.append(letters)
+    assert got == every[:15]
