@@ -18,13 +18,14 @@ import functools
 import os
 import sys
 import tempfile
+from array import array
 from collections import deque
 
 from . import decograph, oracle, stringcone
 from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_graph, to_dot, to_json_dict
 from .jsontext import emit
 from .oracle import MixedSigns
-from .rootsystem import CartanType, cartan_matrix
+from .rootsystem import CartanType, cartan_matrix, root_table
 from .stringcone import cone_from_graphs, dual_kostant_count, string_cone, weight_census, weights_up_to
 from .wordtools import LimitExceeded, enumerate_w0_letters, parse_letters, parse_word, validate_word
 
@@ -132,6 +133,23 @@ def _checked_graphs(cd, w, agreement: list):
         del g
 
 
+def _letter_array(rank: int) -> array:
+    """An empty array of the smallest item type that holds every letter 1..rank."""
+    return array(next(c for c in "BHILQ" if rank < 1 << 8 * array(c).itemsize))
+
+
+def _all_letters(cd, limit: int):
+    """Every reduced word of w0 laid end to end in one flat array, and the word length N.
+
+    A kept word costs N small integers, not a tuple, and its item type
+    (_letter_array) leaves no rank with a letter it cannot store.
+    """
+    letters = _letter_array(cd.n)
+    for word in enumerate_w0_letters(cd, limit=limit):
+        letters.extend(word)
+    return letters, root_table(cd).positive
+
+
 def cmd_oracle(args) -> int:
     if args.census_bound < 0:
         print("error: --census-bound must be nonnegative", file=sys.stderr)
@@ -141,24 +159,26 @@ def cmd_oracle(args) -> int:
         return 1
     cd = cartan_matrix(CartanType.parse(args.type))
     if args.all_words:
-        # letters only, each validated when it is used: outside type A most words never are
-        words = list(enumerate_w0_letters(cd, limit=args.word_limit))
+        letters, N = _all_letters(cd, args.word_limit)
+        count = len(letters) // N
     else:
-        words = [parse_letters(args.word)]
+        letters = parse_letters(args.word)
+        N, count = len(letters), 1
 
     agreement = []
     census_failures = []
     census_checked = 0
-    if len(words) <= 4:
-        census_at = set(range(len(words)))
+    if count <= 4:
+        census_at = set(range(count))
     else:
-        census_at = {0, len(words) // 3, 2 * len(words) // 3, len(words) - 1}
+        census_at = {0, count // 3, 2 * count // 3, count - 1}
     bound = args.census_bound
     mvecs = list(weights_up_to(cd.n, bound))
-    for k, letters in enumerate(words):
+    for k in range(count):
         if k not in census_at and cd.ctype.family != "A":
             continue  # neither an agreement nor a census word
-        w = validate_word(cd, letters)
+        # each word is validated when it is used: outside type A most words never are
+        w = validate_word(cd, letters[k * N : (k + 1) * N])
         graphs = _checked_graphs(cd, w, agreement)
         if k not in census_at:
             deque(graphs, maxlen=0)  # each graph only feeds the agreement
@@ -178,7 +198,7 @@ def cmd_oracle(args) -> int:
         all(r["status"] == "pass" for r in agreement) and not census_failures
     ) else "fail"
     payload = {
-        "input": {"type": str(cd.ctype), "words": len(words), "census_bound": bound},
+        "input": {"type": str(cd.ctype), "words": count, "census_bound": bound},
         "agreement": agreement,
         "census_checked": census_checked,
         "census_failures": census_failures,

@@ -20,9 +20,10 @@ alone, so b(d / A_j) - b(d) = e_j - e_{j+} is a fact about (word, j): it
 holds when A_j = T e_{j+} - T e_j, which is zero outside the window j..j+
 because i_{j+} = i_j. It is proven once per word, on each window, and a
 failure, a convention bug, always raises, forced build or not. The same pass
-keeps one Firing record per position: j+, the window of A_j, the chain
-j^{2+}, j^{3+}, ... that rule (b) walks, and the packed key of A_j; build_graph
-applies the rule inline on these records, the one place it lives.
+keeps one Firing record per position: j+, the nonzero entries of A_j (at j,
+at j+ and at the positions between whose letter is adjacent to i_j), the
+chain j^{2+}, j^{3+}, ... that rule (b) walks, and the packed key of A_j;
+build_graph applies the rule inline on these records, the one place it lives.
 From then on b is a function of d, so a vertex keeps the b it was first
 reached with. The source b is checked against a closed form read off the
 coroot sequence beta_t^vee = s_{i_N} ... s_{i_{t+1}}(h_{i_t}), looked up in
@@ -30,11 +31,13 @@ the root table through the word's beta indices, and verify_graph recomputes
 b from the recursion at every vertex of a finished graph, independently of
 the build.
 
-Inside a build, vertices get integer ids in creation order, which is also
-the FIFO order, and are looked up by one integer key per d, the entries of d
+A build keeps one store, its vertices in creation order, which is also the
+FIFO order, and looks them up by one integer key per d, the entries of d
 packed into signed bit fields. The key is linear in d, so an edge computes
-key(d / A_j) = key(d) - key(A_j), and the d tuple is built only for a new
-vertex. The keys stay inside the build: DecoGraph maps d tuples to b tuples.
+key(d / A_j) = key(d) - key(A_j), and only a new vertex builds its d tuple: a
+copy of its parent's with A_j's nonzero entries subtracted, so a fire touches
+nothing else. The keys stay inside the build: DecoGraph maps d tuples to b
+tuples.
 
 The quantity L = sum_t t * b_t drops by exactly j+ - j along every edge,
 which is what makes the worklist terminate and the graph acyclic.
@@ -215,11 +218,12 @@ class Firing(NamedTuple):
     j: int
     # j+, the next position with letter i_j
     jp: int
-    # the exponents of A_j at j..j+; A_j is zero elsewhere
-    window: tuple[int, ...]
+    # (0-based position, exponent) for each nonzero entry of A_j, ascending:
+    # j, j+ and the positions between whose letter is adjacent to i_j
+    entries: tuple[tuple[int, int], ...]
     # j^{2+}, j^{3+}, ... up to N: the positions rule (b) walks
     chain: tuple[int, ...]
-    # _pack(A_j, width), which reads A_j on its window only
+    # _pack(A_j, width), packed from the same proven window as entries
     key: int
 
 
@@ -235,7 +239,9 @@ def _firing_table(cd: CartanData, w: ReducedWord, width: int) -> tuple:
     zero below j+, so T e_{j+} - T e_j is zero outside the window j..j+ and
     reads a_{i_j, i_j} - 1, a_{i_l, i_j} for j < l < j+, and 1 on it. The
     proof compares a_monomial with those entries, read from cd.rows as
-    b_from_d reads them, and requires it to be zero outside the window.
+    b_from_d reads them, and requires it to be zero outside the window. The
+    record's nonzero entries and its key are both read off that proven
+    window, so they cannot disagree.
     """
     name = ("firing", width)
     table = w.cache.get(name)
@@ -264,7 +270,8 @@ def _firing_table(cd: CartanData, w: ReducedWord, width: int) -> tuple:
         while pos <= N:
             chain.append(pos)
             pos = jplus[pos - 1]
-        table.append(Firing(j, jp, window, tuple(chain), _pack(window, width, j - 1)))
+        entries = tuple((p, e) for p, e in enumerate(window, start=j - 1) if e)
+        table.append(Firing(j, jp, entries, tuple(chain), _pack(window, width, j - 1)))
     table = w.cache[name] = tuple(table)
     return table
 
@@ -287,10 +294,12 @@ def build_graph(
     description. A word validated for another Cartan matrix raises
     WordError; reaching max_vertices raises VertexCapExceeded.
 
-    Vertex ids follow creation order, so the FIFO queue is a running id. A
-    vertex is found by its key _pack(d, width), with width from _key_width;
-    an edge subtracts the key of A_j from its record, and only a new vertex
-    builds its d tuple, from its parent's through the window of A_j.
+    The build keeps one store, a list of (d, b, key) in creation order that
+    the loop walks while it grows, so it is also the FIFO queue; vertices
+    gets each new vertex as it is created. A vertex is found by its key
+    _pack(d, width), with width from _key_width; an edge subtracts the key of
+    A_j from its record, and only a new vertex builds its d tuple, a copy of
+    its parent's with the record's nonzero entries of A_j subtracted.
     """
     if w.cd != cd:
         raise WordError(f"word {w} was validated for {w.cd.ctype}, not {cd.ctype}")
@@ -304,19 +313,18 @@ def build_graph(
     width = _key_width(max_vertices)
     records = _firing_table(cd, w, width)
     key0 = _pack(d0, width)
-    ids = {key0: 0}
-    ds, bs, keys = [d0], [b0], [key0]
+    # a list iterator also yields what is appended while it runs: FIFO
+    store = [(d0, b0, key0)]
+    vertices = {d0: b0}
+    found = {key0: d0}
     edges = []
 
-    v = 0
-    while v < len(ds):
-        d, b, key = ds[v], bs[v], keys[v]
-        v += 1
+    for d, b, key in store:
         # only a position with d_j != 0 can fire, and the records ascend in j
         for rec in compress(records, d):
             if rec is None:
                 continue
-            j, jp, window, chain, a_key = rec
+            j, jp, entries, chain, a_key = rec
             dj = d[j - 1]
             if dj <= 0 or b[jp - 1] <= 0:
                 continue
@@ -333,20 +341,21 @@ def build_graph(
                 if d[pos - 1] != -1 or b[pos - 1] != 1:
                     continue
             key2 = key - a_key
-            u = ids.get(key2)
-            if u is None:
-                if len(ds) >= max_vertices:
+            d2 = found.get(key2)
+            if d2 is None:
+                if len(store) >= max_vertices:
                     raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})")
-                u = ids[key2] = len(ds)
-                ds.append(d[: j - 1] + tuple(map(sub, d[j - 1 : jp], window)) + d[jp:])
+                d2 = list(d)
+                for p, e in entries:
+                    d2[p] -= e
+                d2 = found[key2] = tuple(d2)
                 b2 = list(b)
                 b2[j - 1] += 1
                 b2[jp - 1] -= 1
-                bs.append(tuple(b2))
-                keys.append(key2)
+                b2 = vertices[d2] = tuple(b2)
+                store.append((d2, b2, key2))
             # an edge holds the stored d tuple, not an equal copy
-            edges.append((d, j, ds[u]))
-    vertices = dict(zip(ds, bs))
+            edges.append((d, j, d2))
 
     return DecoGraph(
         cd=cd,

@@ -12,6 +12,7 @@ import pytest
 
 from tropicone import cli, decograph, stringcone, wordtools
 from tropicone.cli import main
+from tropicone.rootsystem import CartanType, cartan_matrix
 
 C3_ARGS = ["--type", "C3", "--word", "2,3,2,1,2,3,2,3,1"]
 D4_ARGS = ["--type", "D4", "--word", "2,1,3,2,4,2,3,2,1,2,3,4"]
@@ -265,6 +266,35 @@ def test_oracle_validates_only_the_words_it_checks(capsys, monkeypatch):
     rc, out, _ = run(capsys, "oracle", "--type", "B3", "--all-words", "--census-bound", "1")
     assert rc == 0 and json.loads(out)["input"]["words"] == 42
     assert len(validated) == 4
+
+
+def test_oracle_keeps_the_words_as_one_flat_array_of_letters(capsys, monkeypatch):
+    b3 = cartan_matrix(CartanType.parse("B3"))
+    words = list(wordtools.enumerate_w0_letters(b3))
+    letters, N = cli._all_letters(b3, 100000)
+    assert (letters.typecode, N, len(letters)) == ("B", 9, 9 * len(words))
+    assert [tuple(letters[k * N : (k + 1) * N]) for k in range(len(words))] == words
+    with pytest.raises(wordtools.LimitExceeded, match="more than 41 reduced words"):
+        cli._all_letters(b3, 41)
+    # the census words are the first, the last and the two at the thirds
+    validated = []
+    original = cli.validate_word
+
+    def validate(cd, word):
+        validated.append(tuple(word))
+        return original(cd, word)
+
+    monkeypatch.setattr(cli, "validate_word", validate)
+    rc, _, _ = run(capsys, "oracle", "--type", "B3", "--all-words", "--census-bound", "0")
+    assert rc == 0
+    assert validated == [words[k] for k in (0, 14, 28, 41)]
+
+
+@pytest.mark.parametrize("rank", [1, 255, 256, 65535, 65536, 2**32])
+def test_the_letter_array_holds_every_letter_of_its_rank(rank):
+    letters = cli._letter_array(rank)
+    letters.extend((1, rank))
+    assert list(letters) == [1, rank]
 
 
 def test_oracle_single_word_g2(capsys):

@@ -289,6 +289,63 @@ def test_build_matches_a_tuple_keyed_bfs():
         assert g.edges == edges, (str(cd.ctype), str(w), i)
 
 
+def test_firing_records_keep_the_nonzero_entries_of_a():
+    width = decograph._key_width(100000)
+    seen = set()
+    exponents = set()
+    for cd, w, _ in graph_cases():
+        if id(w) in seen:
+            continue
+        seen.add(id(w))
+        records = decograph._firing_table(cd, w, width)
+        assert len(records) == w.N
+        for j, (rec, jp) in enumerate(zip(records, w.jplus), start=1):
+            if jp > w.N:
+                assert rec is None
+                continue
+            a = a_monomial(cd, w, j)
+            assert (rec.j, rec.jp) == (j, jp)
+            assert rec.entries == tuple((p, e) for p, e in enumerate(a) if e), (str(cd.ctype), str(w), j)
+            assert rec.key == decograph._pack(a, width), (str(cd.ctype), str(w), j)
+            exponents.update(e for _, e in rec.entries)
+    # G2's -3 and the -2 of B and C are among them
+    assert {-3, -2, -1, 1} <= exponents
+
+
+@pytest.mark.parametrize("how", ["drop", "bump"])
+@pytest.mark.parametrize("name, letters, i", [("C3", fx.C3_WORD, 2), ("G2", fx.G2_WORD_A, 1)])
+def test_a_tampered_firing_record_is_caught(name, letters, i, how):
+    cd = cartan_matrix(CartanType.parse(name))
+    # a fresh word: the firing table is kept on the word instance
+    w = validate_word(cd, letters)
+    g = build_graph(cd, w, i)
+    width = decograph._key_width(100000)
+    records = w.cache[("firing", width)]
+    # the first edge into a vertex is the one that created it; take one whose
+    # record has an entry strictly inside its window, adjacent to i_j
+    created, target = set(), None
+    for _, j, dst in g.edges:
+        if dst not in created:
+            created.add(dst)
+            if target is None and len(records[j - 1].entries) > 2:
+                target = j
+    assert target is not None
+    rec = records[target - 1]
+    if how == "drop":
+        entries = rec.entries[:1] + rec.entries[2:]
+    else:
+        entries = rec.entries[:-1] + ((rec.jp - 1, 2),)
+    tampered = list(records)
+    tampered[target - 1] = rec._replace(entries=entries)
+    w.cache[("firing", width)] = tuple(tampered)
+
+    g = build_graph(cd, w, i)
+    failed = {c["name"] for c in verify_graph(g)["checks"] if c["status"] == "fail"}
+    assert "edges_divide_by_a" in failed
+    vertices, edges = tuple_keyed_graph(cd, w, i)
+    assert (list(g.vertices.items()), g.edges) != (vertices, edges)
+
+
 @pytest.mark.parametrize("cap", [1, 2, 5])
 def test_key_width_holds_every_entry_a_build_can_reach(cap):
     width = decograph._key_width(cap)
