@@ -2,9 +2,10 @@
 
 Subcommands: graph, cone, check, oracle. Exit codes: 0 success, 1 bad
 input (a usage error and an index outside [1, n] included), a failed check,
-the vertex cap of a graph build, running out of memory or an output path
-that cannot be written, 2 unsupported index without --force (oracle forces
-the cones it censuses, so it never exits 2), 3 internal assertion failure.
+the vertex cap of a graph build, running out of memory, recursion too deep
+for the interpreter or an output path that cannot be written, 2 unsupported
+index without --force (oracle forces the cones it censuses, so it never
+exits 2), 3 internal assertion failure.
 Identical invocations produce byte-identical output. JSON output is
 json.dumps(payload, indent=2) plus a newline, byte for byte, spelled out by
 jsontext.emit; --out writes the same bytes as stdout, atomically next to
@@ -80,8 +81,7 @@ def cmd_graph(args) -> int:
         text = to_dot(g) if args.format == "dot" else emit(to_json_dict(g))
     else:
         if args.format == "dot":
-            print("error: --i is required with dot output", file=sys.stderr)
-            return 1
+            raise ValueError("--i is required with dot output")
         bundle = {
             "type": str(cd.ctype),
             "word": list(w.letters),
@@ -152,11 +152,9 @@ def _all_letters(cd, limit: int):
 
 def cmd_oracle(args) -> int:
     if args.census_bound < 0:
-        print("error: --census-bound must be nonnegative", file=sys.stderr)
-        return 1
+        raise ValueError("--census-bound must be nonnegative")
     if args.word_limit < 1:
-        print("error: --word-limit must be positive", file=sys.stderr)
-        return 1
+        raise ValueError("--word-limit must be positive")
     cd = cartan_matrix(CartanType.parse(args.type))
     if args.all_words:
         letters, N = _all_letters(cd, args.word_limit)
@@ -168,12 +166,9 @@ def cmd_oracle(args) -> int:
     agreement = []
     census_failures = []
     census_checked = 0
-    if count <= 4:
-        census_at = set(range(count))
-    else:
-        census_at = {0, count // 3, 2 * count // 3, count - 1}
+    census_at = {0, count // 3, 2 * count // 3, count - 1}
     bound = args.census_bound
-    mvecs = list(weights_up_to(cd.n, bound))
+    mvecs = weights_up_to(cd.n, bound)
     for k in range(count):
         if k not in census_at and cd.ctype.family != "A":
             continue  # neither an agreement nor a census word
@@ -271,6 +266,10 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print(f"error: out of memory running {args.command}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the word search and the Kostant count recurse once per positive root: past about 1,000 (A45)
+        print(f"error: recursion too deep running {args.command}", file=sys.stderr)
         return 1
     except OSError as e:
         target = "stdout" if args.out is None else _out_path(args.out)

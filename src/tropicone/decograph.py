@@ -64,7 +64,7 @@ from .rootsystem import (
     reflect,
     root_table,
 )
-from .wordtools import ReducedWord, WordError, source_index
+from .wordtools import ReducedWord, check_validated_for, source_index
 
 
 class GraphError(RuntimeError):
@@ -301,8 +301,7 @@ def build_graph(
     A_j from its record, and only a new vertex builds its d tuple, a copy of
     its parent's with the record's nonzero entries of A_j subtracted.
     """
-    if w.cd != cd:
-        raise WordError(f"word {w} was validated for {w.cd.ctype}, not {cd.ctype}")
+    check_validated_for(cd, w)
     status = supported(cd.ctype, i)
     if status is SupportStatus.UNPROVEN and not force:
         raise UnsupportedIndex(

@@ -42,7 +42,7 @@ from .rootsystem import (
     reflect,
     simple_root_weight,
 )
-from .wordtools import ReducedWord
+from .wordtools import ReducedWord, check_validated_for
 
 
 class NotTypeA(ValueError):
@@ -180,7 +180,8 @@ def _trail_module(cd: CartanData, i: int) -> _Module:
 
 
 def minuscule_trail_monomials(cd: CartanData, w: ReducedWord, i: int) -> set[tuple[int, ...]]:
-    """The monomial set read off from the trails alone."""
+    """The monomial set read off from the trails alone; a word validated for another root system raises WordError."""
+    check_validated_for(cd, w)
     return set(_minor(_trail_module(cd, i), w))
 
 
@@ -241,8 +242,10 @@ def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> dict[tuple[int, 
     block is 0, 1, t^-1 or t and its determinant is 1, so by Cauchy-Binet no
     term ever cancels (Fomin-Zelevinsky, Double Bruhat cells and total
     positivity, 1999). A coefficient <= 0 therefore raises MixedSigns: only a
-    broken sign convention gives one.
+    broken sign convention gives one. A word validated for another root
+    system raises WordError.
     """
+    check_validated_for(cd, w)
     if cd.ctype.family != "A":
         raise NotTypeA(f"minor oracle needs type A, got {cd.ctype}")
     if not 1 <= i <= cd.n:

@@ -129,20 +129,16 @@ def _compositions(total: int, size: int) -> np.ndarray:
     return out
 
 
-def weights_up_to(n: int, bound: int):
+def weights_up_to(n: int, bound: int) -> list[tuple[int, ...]]:
     """All nonnegative integer vectors of length n with sum <= bound, in lexicographic order.
 
-    Each first entry in turn, then every tail within the bound it leaves; for
-    n = 0 that is the empty vector alone, and a negative bound gives nothing.
+    The census's own compositions of bound into n + 1 parts, the last part
+    (the slack) dropped; for n = 0 that is the empty vector alone. A
+    negative bound gives nothing, which _compositions would not.
     """
     if bound < 0:
-        return
-    if not n:
-        yield ()
-        return
-    for first in range(bound + 1):
-        for tail in weights_up_to(n - 1, bound - first):
-            yield (first, *tail)
+        return []
+    return list(map(tuple, _compositions(bound, n + 1)[:, :-1].tolist()))
 
 
 def _class_blocks(cone: ConeSystem) -> list[np.ndarray]:
@@ -176,24 +172,26 @@ def weight_census(cone: ConeSystem, mvec) -> int:
     z >= 0 on the whole cone (once, cached on it), so every coordinate of
     class t lies in [0, mvec[t-1]] and the candidates are the nonnegative
     compositions of mvec[t-1] over the class's positions. A cone without that
-    certificate raises CensusUncertified; no box is assumed.
+    certificate raises CensusUncertified at every weight, the zero weight
+    included; no box is assumed.
 
     Only the classes with mvec[t-1] > 0 take part: a class of sum 0 has the
-    zero vector as its one candidate, which adds nothing to a row. Each such
-    class keeps only its candidates' contributions to every row, never the
-    points, and their row-wise maxima, taken once. The classes are merged one
-    at a time, fewest candidates first, into a frontier of partial row sums
-    that starts as the first class's contributions. After each merge an entry
-    survives only while the later classes' maxima could still bring every row
-    to 0. That is the one pruning rule: a candidate no completion can use
-    leaves at its own class's merge, and at the last merge the rule is the
-    exact row check. Memory is bounded by the surviving frontier rather than
-    by the product of the classes.
+    zero vector as its one candidate, which adds nothing to a row, so the
+    zero weight counts the origin alone. Each such class keeps only its
+    candidates' contributions to every row, never the points, and their
+    row-wise maxima, taken once. The classes are merged one at a time,
+    fewest candidates first, into a frontier of partial row sums that starts
+    as the first class's contributions. After each merge an entry survives
+    only while the later classes' maxima could still bring every row to 0.
+    That is the one pruning rule: a candidate no completion can use leaves at
+    its own class's merge, and at the last merge the rule is the exact row
+    check. Memory is bounded by the surviving frontier rather than by the
+    product of the classes.
     """
     mv = _weight(cone.cd.n, mvec)
+    orthant_certificate(cone)
     if sum(mv) == 0:
         return 1
-    orthant_certificate(cone)
     contribs = sorted(
         (_compositions(m_t, len(block)) @ block for m_t, block in zip(mv, _class_blocks(cone)) if m_t),
         key=len,

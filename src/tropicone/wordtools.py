@@ -108,6 +108,12 @@ def validate_word(cd: CartanData, letters) -> ReducedWord:
     return ReducedWord(cd, seq, ids, _next_occurrences(seq))
 
 
+def check_validated_for(cd: CartanData, w: ReducedWord) -> None:
+    """Raise WordError unless w was validated for cd; B3 and C3, say, share their reduced words."""
+    if w.cd != cd:
+        raise WordError(f"word {w} was validated for {w.cd.ctype}, not {cd.ctype}")
+
+
 def parse_letters(text: str) -> tuple[int, ...]:
     """The letters of a comma-separated word like "2,3,2,1,2,3,2,3,1", not yet validated."""
     parts = [p for p in text.replace(" ", "").split(",") if p]

@@ -87,9 +87,7 @@ def test_graph_bundle_without_i(capsys):
 
 
 def test_graph_dot_requires_i(capsys):
-    rc, _, err = run(capsys, "graph", *C3_ARGS, "--format", "dot")
-    assert rc == 1
-    assert "--i" in err
+    assert run(capsys, "graph", *C3_ARGS, "--format", "dot") == (1, "", "error: --i is required with dot output\n")
 
 
 def test_graph_unsupported_exit_code(capsys):
@@ -147,15 +145,30 @@ def test_out_of_memory_exits_1(capsys, monkeypatch):
     assert err == "error: out of memory running oracle\n"
 
 
-def test_uncertified_cone_exits_1(capsys, monkeypatch):
-    def without_first_row(cd, w, graphs):
-        cone = stringcone.cone_from_graphs(cd, w, graphs)
-        return stringcone.ConeSystem(cd, w, cone.rows[1:])
+def _without_first_row(cd, w, graphs):
+    cone = stringcone.cone_from_graphs(cd, w, graphs)
+    return stringcone.ConeSystem(cd, w, cone.rows[1:])
 
-    monkeypatch.setattr(cli, "cone_from_graphs", without_first_row)
+
+def test_uncertified_cone_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cone_from_graphs", _without_first_row)
     rc, out, err = run(capsys, "oracle", *C3_ARGS, "--census-bound", "1")
     assert rc == 1 and out == ""
     assert err == "error: census of (C3, word 2,3,2,1,2,3,2,3,1): no certificate that z_4 >= 0\n"
+
+
+def test_uncertified_cone_exits_1_at_census_bound_0(capsys, monkeypatch):
+    # the zero weight alone is counted only on a certified cone too
+    monkeypatch.setattr(cli, "cone_from_graphs", _without_first_row)
+    rc, out, err = run(capsys, "oracle", *C3_ARGS, "--census-bound", "0")
+    assert (rc, out) == (1, "")
+    assert err == "error: census of (C3, word 2,3,2,1,2,3,2,3,1): no certificate that z_4 >= 0\n"
+
+
+def test_recursion_too_deep_exits_1(capsys):
+    # A60 has 1,830 positive roots, and the word search recurses once per letter
+    rc, out, err = run(capsys, "oracle", "--type", "A60", "--all-words", "--word-limit", "1")
+    assert (rc, out, err) == (1, "", "error: recursion too deep running oracle\n")
 
 
 def test_census_mismatch_is_reported(capsys, monkeypatch):

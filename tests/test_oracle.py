@@ -16,7 +16,7 @@ from tropicone.rootsystem import (
     minuscule_indices,
     reflect,
 )
-from tropicone.wordtools import enumerate_w0_words, validate_word
+from tropicone.wordtools import WordError, enumerate_w0_words, validate_word
 from tropicone.decograph import build_graph
 from tropicone.oracle import (
     MixedSigns,
@@ -44,6 +44,21 @@ def test_a1_minor_is_single_variable():
 def test_not_type_a(c3, c3_word):
     with pytest.raises(NotTypeA):
         typeA_minor_poly(c3, c3_word, 1)
+
+
+def test_minor_rejects_a_word_of_another_root_system(a3):
+    # a reduced word of w0 in A3 spells none in A4, and the minor oracle used to answer {}
+    a4 = cartan_matrix(CartanType.parse("A4"))
+    w = validate_word(a3, (1, 2, 1, 3, 2, 1))
+    with pytest.raises(WordError, match="validated for A3, not A4"):
+        typeA_minor_poly(a4, w, 2)
+
+
+def test_trails_reject_a_word_of_another_root_system(b3, c3, c3_word):
+    # B3 and C3 share their reduced words, and the trails used to answer for the wrong one
+    w = validate_word(b3, c3_word.letters)
+    with pytest.raises(WordError, match="validated for B3, not C3"):
+        minuscule_trail_monomials(c3, w, 1)
 
 
 @pytest.mark.parametrize("i", [0, -1, 4])

@@ -275,8 +275,10 @@ def test_census_refuses_an_uncertified_cone(c3, c3_word):
     assert cone.rows[0] == (1, unit(9, 9))
     # without the source row z_9 >= 0, z_9 is no longer proven, nor what rests on it
     cut = ConeSystem(c3, c3_word, cone.rows[1:])
-    with pytest.raises(CensusUncertified, match=r"C3, word 2,3,2,1,2,3,2,3,1\): no certificate that z_4 >= 0"):
-        weight_census(cut, (1, 0, 0))
+    # the zero weight too: the origin is counted only once z >= 0 is proven
+    for mvec in [(1, 0, 0), (0, 0, 0)]:
+        with pytest.raises(CensusUncertified, match=r"C3, word 2,3,2,1,2,3,2,3,1\): no certificate that z_4 >= 0"):
+            weight_census(cut, mvec)
 
 
 @pytest.mark.parametrize("mvec", [(1, 0), (-1, 0, 0), (1.7, 0, 0)])
@@ -303,9 +305,9 @@ def test_weights_up_to_order():
     assert list(weights_up_to(3, 0)) == [(0, 0, 0)]
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(8))
 def test_weights_up_to_matches_brute_force(n):
-    for bound in range(-1, 6):
+    for bound in range(-1, 7):
         want = [m for m in product(range(bound + 1), repeat=n) if sum(m) <= bound]
         assert list(weights_up_to(n, bound)) == want
 
