@@ -20,7 +20,6 @@ import os
 import sys
 import tempfile
 from array import array
-from collections import deque
 
 from . import decograph, oracle, stringcone
 from .decograph import GraphError, UnsupportedIndex, VertexCapExceeded, build_graph, to_dot, to_json_dict
@@ -119,20 +118,6 @@ def cmd_check(args) -> int:
     return 0 if status == "pass" else 1
 
 
-def _checked_graphs(cd, w, agreement: list):
-    """The forced graph of w for each index in turn, built lazily.
-
-    In type A each graph is first compared with the oracles, its report
-    appended to agreement. One graph is alive at a time.
-    """
-    for i in range(1, cd.n + 1):
-        g = build_graph(cd, w, i, force=True)
-        if cd.ctype.family == "A":
-            agreement.append(oracle.agreement_report(g))
-        yield g
-        del g
-
-
 def _letter_array(rank: int) -> array:
     """An empty array of the smallest item type that holds every letter 1..rank."""
     return array(next(c for c in "BHILQ" if rank < 1 << 8 * array(c).itemsize))
@@ -167,19 +152,29 @@ def cmd_oracle(args) -> int:
     census_failures = []
     census_checked = 0
     census_at = {0, count // 3, 2 * count // 3, count - 1}
+    covered = oracle.covered_indices(cd)
     bound = args.census_bound
     mvecs = weights_up_to(cd.n, bound)
+
+    def built(w, i):
+        """The forced graph of w for i, compared with the oracles first when i is covered."""
+        g = build_graph(cd, w, i, force=True)
+        if i in covered:
+            agreement.append(oracle.agreement_report(g))
+        return g
+
     for k in range(count):
-        if k not in census_at and cd.ctype.family != "A":
+        if k not in census_at and not covered:
             continue  # neither an agreement nor a census word
-        # each word is validated when it is used: outside type A most words never are
+        # each word is validated when it is used: where no index is covered most words never are
         w = validate_word(cd, letters[k * N : (k + 1) * N])
-        graphs = _checked_graphs(cd, w, agreement)
         if k not in census_at:
-            deque(graphs, maxlen=0)  # each graph only feeds the agreement
+            for i in covered:
+                built(w, i)
             continue
-        # forced: each count is checked against Kostant, so an unproven cone is tested, not trusted
-        cone = cone_from_graphs(cd, w, graphs)
+        # forced: each count is checked against Kostant, so an unproven cone is tested, not trusted;
+        # its graphs are built as the cone draws them, so one is alive at a time
+        cone = cone_from_graphs(cd, w, (built(w, i) for i in range(1, cd.n + 1)))
         for mv in mvecs:
             got = weight_census(cone, mv)
             want = dual_kostant_count(cd, mv)

@@ -343,7 +343,7 @@ def build_graph(
             d2 = found.get(key2)
             if d2 is None:
                 if len(store) >= max_vertices:
-                    raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i})")
+                    raise VertexCapExceeded(f"vertex cap {max_vertices} hit building ({cd.ctype}, i={i}, word {w})")
                 d2 = list(d)
                 for p, e in entries:
                     d2[p] -= e

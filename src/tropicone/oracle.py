@@ -18,8 +18,9 @@ in that letter's t. Per word, the engine makes one backward pass that marks
 the states from which the target is still reachable, and one forward pass
 that carries a Laurent polynomial for the live states only.
 
-agreement_report compares both with a graph the caller built, so the
-command line builds each (word, i) graph once for the report and the cone.
+covered_indices alone decides where an oracle applies: the minuscule indices,
+all of them in type A. agreement_report compares the oracles with a graph the
+caller built, so the command line builds each (word, i) graph once for both.
 Monomials are exponent tuples, as in the graph; a Laurent polynomial is a
 dict from exponent tuple to its positive integer coefficient.
 """
@@ -260,24 +261,28 @@ def typeA_minor_poly(cd: CartanData, w: ReducedWord, i: int) -> dict[tuple[int, 
 # ---------------------------------------------------------------- agreement
 
 
+def covered_indices(cd: CartanData) -> tuple[int, ...]:
+    """The indices where some oracle recomputes the summand, increasing: the minuscule ones, all of type A."""
+    return tuple(sorted(minuscule_indices(cd)))
+
+
 def agreement_report(g: DecoGraph) -> dict:
     """Compare a finished graph's vertex set against every oracle that applies.
 
-    Type A gets the three-way comparison with coefficients; other types with
-    a minuscule index get the trail comparison only. The graph is the
+    Type A gets the three-way comparison with coefficients; other types at
+    a covered index get the trail comparison only. The graph is the
     caller's, so one build can serve this report and a string cone.
     """
     cd, w, i = g.cd, g.word, g.i
+    if i not in covered_indices(cd):
+        raise NotMinuscule(f"no oracle applies to ({cd.ctype}, i={i})")
     graph_set = set(g.vertices)
-    trail_set = minuscule_trail_monomials(cd, w, i) if i in minuscule_indices(cd) else None
+    trail_set = minuscule_trail_monomials(cd, w, i)
     minor = typeA_minor_poly(cd, w, i) if cd.ctype.family == "A" else None
 
-    applicable = [set(s) for s in (minor, trail_set) if s is not None]
-    if not applicable:
-        raise NotMinuscule(f"no oracle applies to ({cd.ctype}, i={i})")
-    oracle_set = applicable[0]
+    oracle_set = trail_set if minor is None else set(minor)
     notes = []
-    if any(s != oracle_set for s in applicable):
+    if oracle_set != trail_set:
         notes.append("trail and minor oracles disagree with each other")
 
     missing = sorted(oracle_set - graph_set)
@@ -287,7 +292,7 @@ def agreement_report(g: DecoGraph) -> dict:
         "input": {"type": str(cd.ctype), "word": list(w.letters), "i": i},
         "status": status,
         "graph_count": len(graph_set),
-        "trail_count": len(trail_set) if trail_set is not None else None,
+        "trail_count": len(trail_set),
         "minor_count": len(minor) if minor is not None else None,
         "missing_in_graph": [render(d) for d in missing],
         "extra_in_graph": [render(d) for d in extra],

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tropicone import cli, decograph, stringcone, wordtools
+from tropicone import cli, decograph, oracle, stringcone, wordtools
 from tropicone.cli import main
 from tropicone.rootsystem import CartanType, cartan_matrix
 
@@ -46,11 +46,11 @@ GOLDEN = [
     ),
     (
         ["oracle", "--type", "C3", "--all-words", "--census-bound", "1"],
-        "2a3f0f983c6a928096420a5a77fece0ad38162da6b9db077f83d288af3703346",
+        "fa025c40d53164cd708594b10e8aec8a5b0bd38686bc72cd0fc8dfa5bb8448af",
     ),
     (
         ["oracle", "--type", "B3", "--all-words", "--census-bound", "1"],
-        "6194d0c2f78f30c13b6e51e2b45e9a879101bb406517fc2ba26d706807e96df7",
+        "869c0ae1ae348d41e3e292caa62032be6e1ab23d0cf0c25a06e0a30f2307e88f",
     ),
 ]
 # the command, the type and the flags after the word
@@ -132,7 +132,7 @@ def test_vertex_cap_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_graph", functools.partial(decograph.build_graph, max_vertices=5))
     rc, out, err = run(capsys, "graph", *C3_ARGS, "--i", "2")
     assert rc == 1 and out == ""
-    assert err == "error: vertex cap 5 hit building (C3, i=2)\n"
+    assert err == "error: vertex cap 5 hit building (C3, i=2, word 2,3,2,1,2,3,2,3,1)\n"
 
 
 def test_out_of_memory_exits_1(capsys, monkeypatch):
@@ -256,29 +256,43 @@ def test_oracle_builds_each_graph_once(capsys, monkeypatch):
         return g
 
     monkeypatch.setattr(cli, "build_graph", build)
-    rc, out, _ = run(capsys, "oracle", "--type", "A3", "--all-words", "--census-bound", "1")
-    assert rc == 0
-    doc = json.loads(out)
-    # 16 words, 4 of them censused, 3 indices each
-    assert len(built) == len(doc["agreement"]) == 48
-    assert doc["census_checked"] == 4 * 4
+    for name, builds, compared in (
+        ("A3", 48, 48),  # 16 words, 4 of them censused, 3 indices each, all covered
+        ("B3", 50, 42),  # 42 words at the covered i = 3, and the 2 other indices of the 4 censused words
+    ):
+        built.clear()
+        rc, out, _ = run(capsys, "oracle", "--type", name, "--all-words", "--census-bound", "1")
+        assert rc == 0
+        doc = json.loads(out)
+        assert (len(built), len(doc["agreement"])) == (builds, compared)
+        assert all(r["status"] == "pass" for r in doc["agreement"])
+        assert doc["census_checked"] == 4 * 4
 
 
 def test_oracle_validates_only_the_words_it_checks(capsys, monkeypatch):
-    # outside type A only the four censused words of the enumeration are used
     validated = []
     original = wordtools.validate_word
 
     def validate(cd, letters):
-        validated.append(letters)
+        validated.append(tuple(letters))
         return original(cd, letters)
 
     # the enumeration's own module binding as well as the command's
     monkeypatch.setattr(wordtools, "validate_word", validate)
     monkeypatch.setattr(cli, "validate_word", validate)
-    rc, out, _ = run(capsys, "oracle", "--type", "B3", "--all-words", "--census-bound", "1")
+    argv = ["oracle", "--type", "B3", "--all-words", "--census-bound", "1"]
+    # where no index is covered (F4, E8) only the four censused words of the enumeration are used
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "covered_indices", lambda cd: ())
+        rc, out, _ = run(capsys, *argv)
     assert rc == 0 and json.loads(out)["input"]["words"] == 42
     assert len(validated) == 4
+    # B3's i = 3 is covered, so every word is used, and validated once
+    validated.clear()
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and len(json.loads(out)["agreement"]) == 42
+    b3 = cartan_matrix(CartanType.parse("B3"))
+    assert sorted(validated) == sorted(wordtools.enumerate_w0_letters(b3))
 
 
 def test_oracle_keeps_the_words_as_one_flat_array_of_letters(capsys, monkeypatch):
@@ -298,6 +312,8 @@ def test_oracle_keeps_the_words_as_one_flat_array_of_letters(capsys, monkeypatch
         return original(cd, word)
 
     monkeypatch.setattr(cli, "validate_word", validate)
+    # with no index covered, the census alone uses a word
+    monkeypatch.setattr(oracle, "covered_indices", lambda cd: ())
     rc, _, _ = run(capsys, "oracle", "--type", "B3", "--all-words", "--census-bound", "0")
     assert rc == 0
     assert validated == [words[k] for k in (0, 14, 28, 41)]
@@ -314,7 +330,7 @@ def test_oracle_single_word_g2(capsys):
     rc, out, _ = run(capsys, "oracle", "--type", "G2", "--word", "1,2,1,2,1,2")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["agreement"] == []  # no symbolic minors outside family A
+    assert doc["agreement"] == []  # G2 has no minuscule index, so no oracle covers it
     assert doc["status"] == "pass"
 
 
@@ -325,6 +341,32 @@ def test_oracle_forces_the_cones_it_censuses(capsys, name, word, checked):
     assert rc == 0
     doc = json.loads(out)
     assert doc["status"] == "pass" and doc["census_checked"] == checked
+    # the minuscule indices alone are compared with the trails
+    assert [r["input"]["i"] for r in doc["agreement"]] == {"F4": [], "E6": [1, 5]}[name]
+
+
+def test_oracle_compares_every_covered_index_outside_type_a(capsys, monkeypatch):
+    word = [2, 1, 2, 3, 4, 2, 4, 1, 2, 3, 2, 4]
+    argv = ["oracle", "--type", "D4", "--word", ",".join(map(str, word))]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    doc = json.loads(out)
+    assert [(r["input"]["i"], r["status"]) for r in doc["agreement"]] == [(1, "pass"), (3, "pass"), (4, "pass")]
+    # a trail oracle that loses one monomial at i = 3 fails the run, naming the graph it disagrees with
+    trails = oracle.minuscule_trail_monomials
+
+    def one_short(cd, w, i):
+        monomials = trails(cd, w, i)
+        return monomials - {min(monomials)} if i == 3 else monomials
+
+    monkeypatch.setattr(oracle, "minuscule_trail_monomials", one_short)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    failed = [r for r in doc["agreement"] if r["status"] == "fail"]
+    assert [r["input"] for r in failed] == [{"type": "D4", "word": word, "i": 3}]
+    assert len(failed[0]["extra_in_graph"]) == 1 and failed[0]["missing_in_graph"] == []
 
 
 def test_oracle_needs_word_flag(capsys):
